@@ -25,15 +25,22 @@
 //   --csv PATH         mirror the table to CSV
 //   --json PATH        machine-readable results (BENCH_*.json format)
 //
+// Each run also records the process's user/sys CPU split (a getrusage
+// delta): out of core, time spent in the kernel — page faults and
+// madvise — shows up as sys.
+//
 // Used as the Release-mode `sharded-smoke` CI job with
 // --check-identical, which also exercises LRU eviction under real
 // walk access patterns (the 25% run cannot hold the graph).
+
+#include <sys/resource.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.h"
@@ -56,10 +63,23 @@ struct RunPoint {
   double fraction = 1.0;    // of total shard bytes; <= 0 means monolithic
   double seconds = 0.0;
   double steps_per_s = 0.0;
+  double user_s = 0.0;      // process CPU time during the run
+  double sys_s = 0.0;
   double nrmse = 0.0;
   grw::ShardStats shards;   // zeros for the monolithic baseline
   std::vector<double> concentrations;
 };
+
+// User and system CPU seconds this process has used so far.
+std::pair<double, double> ProcessCpuSeconds() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  const auto seconds = [](const timeval& tv) {
+    return static_cast<double>(tv.tv_sec) +
+           static_cast<double>(tv.tv_usec) * 1e-6;
+  };
+  return {seconds(usage.ru_utime), seconds(usage.ru_stime)};
+}
 
 // NRMSE across per-chain estimates of the ground truth's dominant type
 // (the paper's protocol: pick a target graphlet, measure spread).
@@ -131,6 +151,22 @@ int main(int argc, char** argv) {
   options.max_steps = steps;
   options.base_seed = 20240808;
 
+  // Runs `engine` once and fills p's timing, CPU split and estimate.
+  const auto measure = [&](grw::EstimationEngine& engine, RunPoint& p) {
+    const auto [user0, sys0] = ProcessCpuSeconds();
+    grw::WallTimer t;
+    const grw::EngineResult result = engine.Run();
+    p.seconds = t.Seconds();
+    const auto [user1, sys1] = ProcessCpuSeconds();
+    p.user_s = user1 - user0;
+    p.sys_s = sys1 - sys0;
+    p.steps_per_s =
+        static_cast<double>(result.merged.steps) / p.seconds;
+    p.nrmse = NrmseOfDominantType(result, truth, target);
+    p.shards = result.shards;
+    p.concentrations = result.merged.concentrations;
+  };
+
   std::vector<RunPoint> points;
 
   // Monolithic in-memory baseline.
@@ -139,13 +175,7 @@ int main(int argc, char** argv) {
     p.name = "monolithic (in-memory)";
     p.fraction = -1.0;
     grw::EstimationEngine engine(g, config, options);
-    grw::WallTimer t;
-    const grw::EngineResult result = engine.Run();
-    p.seconds = t.Seconds();
-    p.steps_per_s =
-        static_cast<double>(result.merged.steps) / p.seconds;
-    p.nrmse = NrmseOfDominantType(result, truth, target);
-    p.concentrations = result.merged.concentrations;
+    measure(engine, p);
     points.push_back(std::move(p));
   }
 
@@ -159,14 +189,7 @@ int main(int argc, char** argv) {
         fraction * static_cast<double>(total_bytes));
     const grw::ShardStore store(manifest, store_opt);
     grw::EstimationEngine engine(store, config, options);
-    grw::WallTimer t;
-    const grw::EngineResult result = engine.Run();
-    p.seconds = t.Seconds();
-    p.steps_per_s =
-        static_cast<double>(result.merged.steps) / p.seconds;
-    p.nrmse = NrmseOfDominantType(result, truth, target);
-    p.shards = result.shards;
-    p.concentrations = result.merged.concentrations;
+    measure(engine, p);
     points.push_back(std::move(p));
   }
 
@@ -176,13 +199,14 @@ int main(int argc, char** argv) {
                    std::to_string(chains) + " chains x " +
                    std::to_string(steps) + " steps, truth type " +
                    std::to_string(target));
-  table.SetHeader({"configuration", "steps/s", "slowdown", "NRMSE",
-                   "hit rate", "evictions", "peak MiB"});
+  table.SetHeader({"configuration", "steps/s", "slowdown", "user s",
+                   "sys s", "NRMSE", "hit rate", "evictions", "peak MiB"});
   for (const RunPoint& p : points) {
     const bool sharded = p.fraction > 0.0;
     table.AddRow(
         {p.name, grw::Table::Num(p.steps_per_s, 0),
          grw::Table::Num(base.steps_per_s / p.steps_per_s, 2) + "x",
+         grw::Table::Num(p.user_s, 3), grw::Table::Num(p.sys_s, 3),
          grw::Table::Num(p.nrmse, 4),
          sharded ? grw::Table::Num(100.0 * p.shards.HitRate(), 1) + "%"
                  : "-",
@@ -205,6 +229,8 @@ int main(int argc, char** argv) {
         "budget" + grw::Table::Num(p.fraction * 100.0, 0) + "_";
     metrics.push_back({prefix + "steps_per_s", p.steps_per_s, "1/s"});
     metrics.push_back({prefix + "nrmse", p.nrmse, ""});
+    metrics.push_back({prefix + "sys_frac",
+                       p.sys_s / std::max(p.user_s + p.sys_s, 1e-9), ""});
     metrics.push_back({prefix + "hit_rate", p.shards.HitRate(), ""});
     metrics.push_back({prefix + "evictions",
                        static_cast<double>(p.shards.evictions), ""});

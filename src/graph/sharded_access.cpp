@@ -1,5 +1,7 @@
 #include "graph/sharded_access.h"
 
+#include <algorithm>
+#include <memory>
 #include <utility>
 
 namespace grw {
@@ -9,13 +11,17 @@ ShardStore::ShardStore(ShardManifest manifest, const Options& options)
   const uint32_t shards = manifest_.NumShards();
   // Catch missing files, torn shards and stale manifests at open time —
   // the store's analogue of the monolithic loader's eager header
-  // validation — instead of minutes into a walk. The probe mappings are
-  // dropped immediately: the store starts with nothing resident.
+  // validation — instead of minutes into a walk. These are the only
+  // mappings the store ever makes; the header pages the check touched
+  // are dropped so the store starts with nothing resident.
+  mapped_.reserve(shards);
   for (uint32_t s = 0; s < shards; ++s) {
-    (void)MapShard(manifest_, s, options_.verify_on_fault);
+    mapped_.push_back(std::make_shared<const MappedShard>(
+        MapShard(manifest_, s)));
+    mapped_.back()->DropPages();
   }
   MutexLock lock(mu_);
-  resident_.assign(shards, nullptr);
+  resident_.assign(shards, false);
   prev_.assign(shards, kNone);
   next_.assign(shards, kNone);
   stats_.budget_bytes = options_.resident_budget_bytes;
@@ -23,7 +29,7 @@ ShardStore::ShardStore(ShardManifest manifest, const Options& options)
 
 std::shared_ptr<const MappedShard> ShardStore::Acquire(uint32_t s) const {
   MutexLock lock(mu_);
-  if (resident_[s] != nullptr) {
+  if (resident_[s]) {
     ++stats_.hits;
     if (head_ != s) {
       // Unlink, push front (MRU).
@@ -36,31 +42,27 @@ std::shared_ptr<const MappedShard> ShardStore::Acquire(uint32_t s) const {
       if (head_ != kNone) prev_[head_] = s; else tail_ = s;
       head_ = s;
     }
-    return resident_[s];
+    return mapped_[s];
   }
 
-  // Fault: map under the lock. The mmap + header check is microseconds;
-  // the expensive part — actual page-ins — happens lazily on the
-  // caller's reads, outside any lock. Holding mu_ keeps the accounting
-  // exact (two chains faulting the same shard resolve to one mapping).
-  auto shard = std::make_shared<const MappedShard>(
-      MapShard(manifest_, s, options_.verify_on_fault));
+  // Fault: pure bookkeeping — the shard was mapped at open. The
+  // expensive part, the page-ins, happens lazily on the caller's reads,
+  // outside any lock.
   ++stats_.faults;
-  stats_.resident_bytes += shard->bytes();
+  stats_.resident_bytes += mapped_[s]->bytes();
   ++stats_.resident_shards;
-  resident_[s] = shard;
+  resident_[s] = true;
   prev_[s] = kNone;
   next_[s] = head_;
   if (head_ != kNone) prev_[head_] = s; else tail_ = s;
   head_ = s;
   EvictOverBudgetLocked(s);
-  // Peak is sampled *after* eviction: a fresh mmap has no pages
-  // faulted in yet, and the victim's pages are dropped before the
-  // caller touches the new shard, so the pre-eviction sum was never
-  // real memory.
+  // Peak is sampled *after* eviction: a faulted shard has no pages in
+  // yet, and the victim's pages are dropped before the caller touches
+  // the new shard, so the pre-eviction sum was never real memory.
   stats_.peak_resident_bytes =
       std::max(stats_.peak_resident_bytes, stats_.resident_bytes);
-  return shard;
+  return mapped_[s];
 }
 
 void ShardStore::EvictOverBudgetLocked(uint32_t keep) const {
@@ -81,20 +83,19 @@ void ShardStore::EvictOverBudgetLocked(uint32_t keep) const {
     if (n != kNone) prev_[n] = p; else tail_ = p;
     prev_[victim] = kNone;
     next_[victim] = kNone;
-    // Drop the pages before releasing the reference: if no chain holds
-    // a pin the memory is returned to the kernel right now; if one
-    // does, its reads refault from disk — latency, never corruption.
-    resident_[victim]->DropPages();
-    stats_.resident_bytes -= resident_[victim]->bytes();
+    // The mapping stays; only its pages go. A chain still reading the
+    // victim refaults them — latency, never corruption.
+    mapped_[victim]->DropPages();
+    stats_.resident_bytes -= mapped_[victim]->bytes();
     --stats_.resident_shards;
     ++stats_.evictions;
-    resident_[victim] = nullptr;
+    resident_[victim] = false;
   }
 }
 
 bool ShardStore::Resident(uint32_t s) const {
   MutexLock lock(mu_);
-  return resident_[s] != nullptr;
+  return resident_[s];
 }
 
 ShardStats ShardStore::stats() const {
@@ -103,11 +104,12 @@ ShardStats ShardStore::stats() const {
 }
 
 const MappedShard& ShardedAccess::Miss(VertexId v) const {
-  std::shared_ptr<const MappedShard> shard =
-      store_->Acquire(store_->ShardOf(v));
-  for (int j = kPins - 1; j > 0; --j) pins_[j] = std::move(pins_[j - 1]);
-  pins_[0] = std::move(shard);
-  return *pins_[0];
+  // The store keeps the shard mapped for its whole lifetime, so the
+  // pin needs no share of the ownership.
+  const MappedShard* shard = store_->Acquire(store_->ShardOf(v)).get();
+  for (int j = kPins - 1; j > 0; --j) pins_[j] = pins_[j - 1];
+  pins_[0] = shard;
+  return *shard;
 }
 
 }  // namespace grw

@@ -4,25 +4,34 @@
 //
 // Two layers, mirroring the engine's sharing model:
 //
-//   ShardStore    — ONE per graph, thread-safe. Owns the manifest and an
-//                   LRU of mapped shards under a resident-byte budget.
-//                   Acquire(shard) returns a shared_ptr pin: eviction
-//                   drops the store's reference and madvises the pages
-//                   away, but a chain holding a pin keeps the mapping
-//                   valid (evicted pages refault from disk — slower,
-//                   never wrong). Counters land in ShardStats.
+//   ShardStore    — ONE per graph, thread-safe. Owns the manifest and
+//                   every shard's mapping: each shard is mapped and
+//                   header-checked once, at open, and stays mapped (one
+//                   VMA per shard) until the store is destroyed. On top
+//                   sits an LRU of *resident* shards under a resident-
+//                   byte budget. A fault only charges the shard to the
+//                   budget and links it into the LRU — its pages come in
+//                   on first touch; an eviction only unlinks it and
+//                   drops its pages (madvise(MADV_DONTNEED)); pages a
+//                   chain still reading the victim faults back in stay,
+//                   uncharged, until the shard's next eviction. Neither
+//                   path does any file I/O, so a shard file replaced or
+//                   removed after open is never seen: the store serves
+//                   the bytes it validated at open, as a `.grwb` mapping
+//                   does across a rename. Counters land in ShardStats.
 //   ShardedAccess — one per chain, NOT thread-safe, cheap. Mirrors the
 //                   Graph read API (NumNodes/Degree/Neighbors/Neighbor/
-//                   HasEdge) over a tiny MRU pin cache, so consecutive
-//                   reads inside one shard touch no lock at all; only a
-//                   shard *switch* goes back to the store.
+//                   HasEdge) over a tiny MRU cache of shard pointers, so
+//                   consecutive reads inside one shard touch no lock at
+//                   all; only a shard *switch* goes back to the store.
 //
 // Every accessor returns byte-identical answers to the same read against
 // the monolithic Graph — the CSR slices ARE the same arrays, partitioned
 // — so estimates through ShardedAccess are bit-identical to full-access
 // runs at any budget and any thread count (tests/sharded_engine_test.cpp
 // gates this). The budget changes only WHEN pages are resident, never
-// what they contain.
+// what they contain: a read of an evicted shard's pages refaults them
+// from the page cache or disk — latency, never a wrong answer.
 
 #pragma once
 
@@ -42,11 +51,14 @@ namespace grw {
 /// Residency accounting, additive only in the sense of one store per
 /// graph: the engine surfaces a snapshot in EngineResult.
 struct ShardStats {
-  /// Shard loads (mmap + header validation) — cold or re-faulted.
+  /// Acquire() calls that found the shard not resident — cold or after
+  /// an eviction. A fault charges the shard to the budget; its pages
+  /// come in on first touch (the mapping itself is made at open).
   uint64_t faults = 0;
   /// Acquire() calls answered by an already-resident shard.
   uint64_t hits = 0;
-  /// Shards pushed out by the byte budget (pages madvised away).
+  /// Shards pushed out by the byte budget (pages madvised away; the
+  /// mapping stays).
   uint64_t evictions = 0;
   /// Mapped shard bytes currently charged against the budget.
   uint64_t resident_bytes = 0;
@@ -69,23 +81,20 @@ struct ShardStats {
 class ShardStore {
  public:
   struct Options {
-    /// Resident-byte budget across all mapped shards; 0 = unbounded
-    /// (every shard stays mapped once touched — the monolithic working
+    /// Resident-byte budget across all shards; 0 = unbounded (every
+    /// shard stays resident once touched — the monolithic working
     /// set, arrived at lazily). A single shard larger than the budget
     /// is still admitted — the walk could not proceed otherwise — so
     /// the effective floor is max(budget, largest shard).
     uint64_t resident_budget_bytes = 0;
-    /// Full payload verification (checksum + structural scan) on every
-    /// shard fault, not just the first: the out-of-core analogue of
-    /// LoadGraphBinary(verify_checksum). Off by default — faults are
-    /// the hot path.
-    bool verify_on_fault = false;
   };
 
-  /// Takes a validated manifest (LoadShardManifest). Eagerly maps and
-  /// header-checks every shard once (catching missing/stale shards at
-  /// open, like the monolithic loader's eager header validation), then
-  /// unmaps them: the store starts empty, nothing charged to the budget.
+  /// Takes a validated manifest (LoadShardManifest; full payload
+  /// verification, if wanted, happens there). Maps and header-checks
+  /// every shard once — catching missing/stale shards at open, like the
+  /// monolithic loader's eager header validation — and keeps the
+  /// mappings for the store's lifetime, with the header pages dropped:
+  /// the store starts with nothing resident or charged to the budget.
   ShardStore(ShardManifest manifest, const Options& options);
 
   ShardStore(const ShardStore&) = delete;
@@ -107,9 +116,10 @@ class ShardStore {
             static_cast<VertexId>(info.first_node + info.num_rows)};
   }
 
-  /// Pins shard s resident and returns it. The pin (shared ownership)
-  /// stays readable across a later eviction; the store merely stops
-  /// charging evicted shards to its budget and drops their pages.
+  /// Makes shard s resident (a hit, or a fault that may evict others)
+  /// and returns the store-owned mapping. The mapping stays readable
+  /// across a later eviction, which only stops charging the shard to
+  /// the budget and drops its pages.
   std::shared_ptr<const MappedShard> Acquire(uint32_t s) const
       GRW_EXCLUDES(mu_);
 
@@ -124,13 +134,15 @@ class ShardStore {
 
   const ShardManifest manifest_;
   const Options options_;
+  // Every shard, mapped at open; never changes after construction, so
+  // reads need no lock.
+  std::vector<std::shared_ptr<const MappedShard>> mapped_;
 
   // LRU over resident shards, CrawlAccess-style intrusive lists indexed
   // by shard id (kNone = not resident / list end).
   static constexpr uint32_t kNone = 0xFFFFFFFFu;
   mutable Mutex mu_;
-  mutable std::vector<std::shared_ptr<const MappedShard>> resident_
-      GRW_GUARDED_BY(mu_);
+  mutable std::vector<bool> resident_ GRW_GUARDED_BY(mu_);
   mutable std::vector<uint32_t> prev_ GRW_GUARDED_BY(mu_);
   mutable std::vector<uint32_t> next_ GRW_GUARDED_BY(mu_);
   mutable uint32_t head_ GRW_GUARDED_BY(mu_) = kNone;  // most recent
@@ -141,9 +153,11 @@ class ShardStore {
 /// Per-chain read facade over a ShardStore, shaped exactly like Graph's
 /// read API so the templated estimation stack (walkers, sample window,
 /// CSS, estimator) accepts it via static dispatch. NOT thread-safe: one
-/// instance per chain, like CrawlAccess. Holds up to kPins shard pins in
-/// MRU order; the common case — every read of a G(d) step landing in the
-/// walker's current shard(s) — is a couple of range compares, no lock.
+/// instance per chain, like CrawlAccess. Holds up to kPins shard
+/// pointers in MRU order; the common case — every read of a G(d) step
+/// landing in the walker's current shard(s) — is a couple of range
+/// compares, no lock. A pin is a plain pointer: every mapping lives as
+/// long as the store, which outlives every chain.
 class ShardedAccess {
  public:
   explicit ShardedAccess(const ShardStore& store) : store_(&store) {}
@@ -153,10 +167,8 @@ class ShardedAccess {
 
   uint32_t Degree(VertexId v) const { return Shard(v).Degree(v); }
 
-  /// Sorted neighbors of v (global ids). The span stays valid while this
-  /// access holds the shard pinned — i.e. at least until kPins other
-  /// shards have been touched; the walk layer only holds spans within
-  /// one step, well inside that window.
+  /// Sorted neighbors of v (global ids). The span stays valid as long as
+  /// the store; once the shard is evicted, reading it refaults pages.
   std::span<const VertexId> Neighbors(VertexId v) const {
     return Shard(v).Neighbors(v);
   }
@@ -182,27 +194,27 @@ class ShardedAccess {
   const MappedShard& Shard(VertexId v) const {
     // MRU scan: slot 0 is the hottest (the walker's current shard).
     for (int i = 0; i < kPins; ++i) {
-      const MappedShard* shard = pins_[i].get();
+      const MappedShard* shard = pins_[i];
       if (shard != nullptr && v >= shard->first_node() &&
           v < shard->end_node()) {
         if (i != 0) Promote(i);
-        return *pins_[0];
+        return *shard;
       }
     }
     return Miss(v);
   }
 
   void Promote(int i) const {
-    std::shared_ptr<const MappedShard> hit = std::move(pins_[i]);
-    for (int j = i; j > 0; --j) pins_[j] = std::move(pins_[j - 1]);
-    pins_[0] = std::move(hit);
+    const MappedShard* hit = pins_[i];
+    for (int j = i; j > 0; --j) pins_[j] = pins_[j - 1];
+    pins_[0] = hit;
   }
 
   // Cold path, out of line: ask the store, install at slot 0.
   const MappedShard& Miss(VertexId v) const;
 
   const ShardStore* store_;
-  mutable std::shared_ptr<const MappedShard> pins_[kPins];
+  mutable const MappedShard* pins_[kPins] = {};
 };
 
 }  // namespace grw

@@ -20,7 +20,6 @@ GraphSource GraphSource::Open(const std::string& path,
     source.relabeled_ = manifest.DegreeRelabeled();
     ShardStore::Options store_options;
     store_options.resident_budget_bytes = options.resident_budget_bytes;
-    store_options.verify_on_fault = options.verify_on_fault;
     source.store_ =
         std::make_shared<ShardStore>(std::move(manifest), store_options);
     return source;

@@ -69,9 +69,6 @@ struct OpenOptions {
   /// Sharded kind only: resident-byte budget for the shard LRU
   /// (ShardStore::Options); 0 = unbounded.
   uint64_t resident_budget_bytes = 0;
-  /// Sharded kind only: re-verify shard payloads on every fault, not
-  /// just at open (ShardStore::Options::verify_on_fault).
-  bool verify_on_fault = false;
 };
 
 /// An opened graph of any storage kind. Cheap to copy; copies share the

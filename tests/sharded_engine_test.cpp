@@ -1,6 +1,7 @@
 // Tests for the out-of-core estimation path: ShardStore's LRU residency
 // accounting (eviction order, byte budget, pin semantics), ShardedAccess
-// read equivalence, and the acceptance gate — engine runs over sharded
+// read equivalence — after the shard files are gone, and under 8-thread
+// eviction churn — and the acceptance gate — engine runs over sharded
 // storage are bit-identical to monolithic runs at 1, 2, and 8 threads,
 // whether or not the budget covers the graph.
 
@@ -10,10 +11,12 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/estimator.h"
@@ -184,6 +187,115 @@ TEST(ShardedAccessTest, ReadsMatchGraphEverywhere) {
           << "pair " << v << "," << u;
     }
   }
+  fs::remove_all(dir);
+}
+
+// True iff every accessor of `access` answers like `g` at v (and the
+// pair v,u for HasEdge).
+bool ReadsMatch(const ShardedAccess& access, const Graph& g, VertexId v,
+                VertexId u) {
+  if (access.Degree(v) != g.Degree(v)) return false;
+  const auto got = access.Neighbors(v);
+  const auto want = g.Neighbors(v);
+  if (!std::equal(got.begin(), got.end(), want.begin(), want.end())) {
+    return false;
+  }
+  return access.HasEdge(v, u) == g.HasEdge(v, u);
+}
+
+// Reads `reads` random pairs (v, u), drawn from Rng(seed), through one
+// fresh ShardedAccess over `store`; returns how many disagreed with `g`.
+int ReadRandomPairs(const ShardStore& store, const Graph& g, uint64_t seed,
+                    int reads) {
+  const ShardedAccess access(store);
+  Rng probe(seed);
+  int mismatches = 0;
+  for (int i = 0; i < reads; ++i) {
+    const VertexId v = static_cast<VertexId>(probe.UniformInt(g.NumNodes()));
+    const VertexId u = static_cast<VertexId>(probe.UniformInt(g.NumNodes()));
+    if (!ReadsMatch(access, g, v, u)) ++mismatches;
+  }
+  return mismatches;
+}
+
+TEST(ShardedAccessTest, FaultsServeTheSnapshotMappedAtOpen) {
+  // Every shard is mapped once, at open: a fault does no filesystem I/O
+  // and an eviction only drops pages, so deleting every shard file after
+  // open changes nothing a reader sees — like a .grwb mapping across a
+  // rename.
+  Rng rng(19);
+  const Graph g = LargestConnectedComponent(HolmeKim(300, 4, 0.4, rng));
+  const std::string dir = TempDir("grw_access_snapshot");
+  // More shards than ShardedAccess's 4 pins, so reads keep faulting.
+  const ShardManifest m = ShardInto(g, dir, 8);
+  ShardStore::Options options;
+  options.resident_budget_bytes = 1;  // floor: one resident shard
+  const ShardStore store(LoadShardManifest(dir), options);
+  for (uint32_t s = 0; s < m.NumShards(); ++s) {
+    ASSERT_TRUE(fs::remove(m.ShardPath(s)));
+  }
+
+  const ShardedAccess access(store);
+  Rng probe(5);
+  for (int pass = 0; pass < 2; ++pass) {
+    for (VertexId v = 0; v < g.NumNodes(); ++v) {
+      // A random partner makes HasEdge and the next read hop shards.
+      const VertexId u = static_cast<VertexId>(probe.UniformInt(g.NumNodes()));
+      ASSERT_TRUE(ReadsMatch(access, g, v, u)) << "node " << v;
+      ASSERT_TRUE(ReadsMatch(access, g, u, v)) << "node " << u;
+    }
+  }
+  const ShardStats stats = store.stats();
+  EXPECT_GT(stats.faults, m.NumShards());  // shards were re-faulted
+  EXPECT_GT(stats.evictions, 0u);
+  fs::remove_all(dir);
+}
+
+TEST(ShardedAccessTest, ConcurrentChurnKeepsReadsAndAccountingExact) {
+  // 8 chains share one store at the one-shard floor, so nearly every
+  // shard switch evicts a shard another thread may be reading. Reads
+  // must stay exact, and no Acquire may be lost from the counters.
+  Rng rng(29);
+  const Graph g = LargestConnectedComponent(HolmeKim(600, 4, 0.4, rng));
+  const std::string dir = TempDir("grw_access_churn");
+  const ShardManifest m = ShardInto(g, dir, 6);
+  ShardStore::Options options;
+  options.resident_budget_bytes = 1;
+  const ShardStore store(LoadShardManifest(dir), options);
+  uint64_t floor_bytes = options.resident_budget_bytes;
+  for (const ShardInfo& info : m.shards) {
+    floor_bytes = std::max(floor_bytes, info.file_bytes);
+  }
+
+  constexpr int kThreads = 8;
+  constexpr int kReads = 3000;
+  int mismatches[kThreads] = {};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      mismatches[t] = ReadRandomPairs(store, g, 100 + t, kReads);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[t], 0) << "thread " << t;
+  }
+
+  // A chain's pin cache alone decides which reads reach the store, so
+  // replaying each thread's reads through a private store counts the
+  // Acquires the shared store must have seen.
+  uint64_t acquires = 0;
+  for (int t = 0; t < kThreads; ++t) {
+    const ShardStore replay(LoadShardManifest(dir), {});
+    ReadRandomPairs(replay, g, 100 + t, kReads);
+    acquires += replay.stats().faults + replay.stats().hits;
+  }
+  const ShardStats stats = store.stats();
+  EXPECT_EQ(stats.faults + stats.hits, acquires);
+  EXPECT_GT(stats.evictions, 0u);
+  EXPECT_LE(stats.resident_bytes, floor_bytes);
+  EXPECT_LE(stats.peak_resident_bytes, floor_bytes);
+  EXPECT_EQ(stats.resident_shards, 1u);
   fs::remove_all(dir);
 }
 
