@@ -61,6 +61,13 @@ struct EstimatorConfig {
 
   /// Paper-style method name, e.g. "SRW2CSS", "SRW1CSSNB".
   std::string Name() const;
+
+  /// The defaults `grw estimate` and the serve protocol share, so that a
+  /// served estimate stays bit-identical to the CLI's. Resolve them in
+  /// this order: d from k, css from the resolved d, nb from k.
+  static int DefaultD(int k) { return k == 3 ? 1 : 2; }
+  static bool DefaultCss(int d) { return d <= 2; }
+  static bool DefaultNb(int k) { return k == 3; }
 };
 
 /// Accumulated estimates of one chain — or, after MergeInto, of several

@@ -25,12 +25,19 @@
 // each chain stops itself the moment its share is spent, inside its own
 // run loop — a per-chain decision that no thread schedule can perturb, so
 // budget-stopped results are bit-identical at any thread count too.
+//
+// One chain unit serves every mode. Full access, crawl and sharded
+// storage differ only in how neighbour lists are read, which the access
+// policy family of graph/access.h expresses; the engine's unit is a
+// template over that policy, and a per-mode factory hands each global
+// chain its access object (the shared graph, a private crawler, or a
+// private pin cache over the shard store). EngineOptions::batch picks
+// the unit's kernel: one scalar chain, or a lane batch in lockstep.
 
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <vector>
 
 #include "core/estimator.h"
@@ -243,37 +250,13 @@ class EstimationEngine {
   const EngineOptions& options() const { return options_; }
 
  private:
-  EngineResult RunSharded();
+  // The one validation body both constructors share.
+  void Validate() const;
 
   const Graph* g_ = nullptr;            // full-access / crawl modes
   const ShardStore* store_ = nullptr;   // sharded mode
   EstimatorConfig config_;
   EngineOptions options_;
 };
-
-/// Multi-size outcome: one merged result per registered graphlet size.
-struct MultiSizeEngineResult {
-  std::map<int, EstimateResult> merged;
-  std::map<int, std::vector<double>> standard_errors;
-  double max_rel_error = 0.0;
-  /// True when every size's monitored types reached the target.
-  bool converged = false;
-  int rounds = 0;
-  uint64_t steps_per_chain = 0;
-  double seconds = 0.0;
-  double steps_per_second = 0.0;
-};
-
-/// Engine entry point for MultiSizeEstimator: each chain is ONE shared
-/// walk on G(d) feeding every size in `sizes`; convergence gates on all
-/// sizes at once. Options are honored as in EstimationEngine, except
-/// crawl mode (full access only; throws std::invalid_argument if
-/// options.crawl.enabled — the multi-size estimator is not templated on
-/// the access policy yet) and batch mode (throws likewise — the shared
-/// multi-size walk has no batched kernel yet).
-MultiSizeEngineResult RunMultiSizeEngine(const Graph& g, int d,
-                                         const std::vector<int>& sizes,
-                                         bool css, bool nb,
-                                         const EngineOptions& options);
 
 }  // namespace grw

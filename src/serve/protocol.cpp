@@ -161,14 +161,14 @@ struct EstimateFields {
   std::string Finish() {
     if (req.graph.empty()) return "missing required field graph";
     if (!have_k) return "missing required field k";
-    // The CLI's defaults, in the CLI's order: d from k, css from the
-    // *resolved* d, nb from k.
-    if (!have_d) req.config.d = req.config.k == 3 ? 1 : 2;
+    // The CLI's defaults (EstimatorConfig::DefaultD and friends), in
+    // their order: d from k, css from the *resolved* d, nb from k.
+    if (!have_d) req.config.d = EstimatorConfig::DefaultD(req.config.k);
     if (req.config.d >= req.config.k) {
       return "field d: must satisfy 1 <= d < k";
     }
-    if (!have_css) req.config.css = req.config.d <= 2;
-    if (!have_nb) req.config.nb = req.config.k == 3;
+    if (!have_css) req.config.css = EstimatorConfig::DefaultCss(req.config.d);
+    if (!have_nb) req.config.nb = EstimatorConfig::DefaultNb(req.config.k);
     if (req.budget_queries > 0 &&
         req.budget_queries < static_cast<uint64_t>(req.chains)) {
       return "field budget: must be >= chains (every chain needs a "

@@ -19,16 +19,17 @@
 // server's optional features (batch, crawl, sharded) and its request
 // limits, so clients can feature-gate without try-and-see.
 //
-// Field semantics and *defaults* mirror `grw estimate` exactly — d
-// defaults to (k == 3 ? 1 : 2), css to (d <= 2), nb to (k == 3), steps to
-// 100000, seed to 42, chains to 1 — and ToEngineOptions() reproduces the
-// CLI's round-steps pinning, so a served estimate is bit-identical to the
-// CLI run with the same snapshot and fields (the CI serve smoke diffs the
-// two). `budget`/`cache`/`crawl` switch the request onto the crawl
-// accounting layer like the CLI's crawl flags; `deadline_ms` arms
-// cooperative cancellation (EngineOptions::cancel) measured from
-// admission; `tenant` attributes the request to a per-tenant
-// distinct-query budget when the server enforces one.
+// Field semantics and *defaults* mirror `grw estimate` exactly — d, css
+// and nb default as EstimatorConfig::DefaultD/DefaultCss/DefaultNb say
+// (core/estimator.h), steps to 100000, seed to 42, chains to 1 — and
+// ToEngineOptions() reproduces the CLI's round-steps pinning, so a served
+// estimate is bit-identical to the CLI run with the same snapshot and
+// fields (the CI serve smoke diffs the two). `budget`/`cache`/`crawl`
+// switch the request onto the crawl accounting layer like the CLI's
+// crawl flags; `deadline_ms` arms cooperative cancellation
+// (EngineOptions::cancel) measured from admission; `tenant` attributes
+// the request to a per-tenant distinct-query budget when the server
+// enforces one.
 //
 // Parsing is *strict*, with the same full-string numeric rules as the
 // flag parser (util/flags.h ParseInt64/ParseDouble/ParseBool): unknown

@@ -3,7 +3,8 @@
 // read equivalence — after the shard files are gone, and under 8-thread
 // eviction churn — and the acceptance gate — engine runs over sharded
 // storage are bit-identical to monolithic runs at 1, 2, and 8 threads,
-// whether or not the budget covers the graph.
+// whether or not the budget covers the graph — and the convergence stop
+// lands on the same round in every access mode and kernel.
 
 #include "graph/sharded_access.h"
 
@@ -358,6 +359,61 @@ TEST(ShardedEngineTest, BitIdenticalToMonolithicAcrossThreadsAndBudgets) {
       }
     }
   }
+  fs::remove_all(dir);
+}
+
+TEST(ShardedEngineTest, EarlyStopIsBitIdenticalAcrossEveryMode) {
+  // The convergence stop reads only the merged round snapshots, so every
+  // access mode and kernel must stop on the same round with the same
+  // batch-means errors: batched lanes (an uneven 3/3/2 split), crawl with
+  // no budget, crawl + batched, and sharded under a one-shard budget all
+  // against the full-access scalar run.
+  Rng rng(29);
+  const Graph g = LargestConnectedComponent(HolmeKim(400, 4, 0.3, rng));
+  const std::string dir = TempDir("grw_engine_early_stop");
+  const ShardManifest m = ShardInto(g, dir, 6);
+  const EstimatorConfig config{4, 2, true, false};
+
+  EngineOptions options = BaseOptions(/*chains=*/8, /*threads=*/2);
+  options.max_steps = 40000;
+  options.round_steps = 500;
+  options.target_nrmse = 0.05;
+  EstimationEngine full(g, config, options);
+  const EngineResult reference = full.Run();
+  ASSERT_TRUE(reference.converged);
+  ASSERT_LT(reference.steps_per_chain, options.max_steps);
+  ASSERT_FALSE(reference.standard_errors.empty());
+
+  const auto expect_same_stop = [&](const EngineResult& result,
+                                    const char* mode) {
+    SCOPED_TRACE(mode);
+    EXPECT_EQ(result.merged.weights, reference.merged.weights);
+    EXPECT_EQ(result.standard_errors, reference.standard_errors);
+    EXPECT_EQ(result.rounds, reference.rounds);
+    EXPECT_EQ(result.converged, reference.converged);
+    EXPECT_EQ(result.max_rel_error, reference.max_rel_error);
+  };
+
+  EngineOptions batched = options;
+  batched.batch.enabled = true;
+  batched.batch.lanes = 3;
+  expect_same_stop(EstimationEngine(g, config, batched).Run(), "batched");
+
+  EngineOptions crawl = options;
+  crawl.crawl.enabled = true;
+  expect_same_stop(EstimationEngine(g, config, crawl).Run(), "crawl");
+
+  EngineOptions crawl_batched = crawl;
+  crawl_batched.batch = batched.batch;
+  expect_same_stop(EstimationEngine(g, config, crawl_batched).Run(),
+                   "crawl + batched");
+
+  ShardStore::Options store_options;
+  store_options.resident_budget_bytes = m.shards[0].file_bytes;
+  const ShardStore store(LoadShardManifest(dir), store_options);
+  const EngineResult sharded = EstimationEngine(store, config, options).Run();
+  expect_same_stop(sharded, "sharded");
+  EXPECT_GT(sharded.shards.evictions, 0u);
   fs::remove_all(dir);
 }
 

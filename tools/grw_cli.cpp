@@ -526,9 +526,10 @@ int CmdEstimate(const grw::Flags& flags) {
   }
   grw::EstimatorConfig config;
   config.k = flags.GetInt32("k", 4);
-  config.d = flags.GetInt32("d", config.k == 3 ? 1 : 2);
-  config.css = flags.GetBool("css", config.d <= 2);
-  config.nb = flags.GetBool("nb", config.k == 3);
+  config.d = flags.GetInt32("d", grw::EstimatorConfig::DefaultD(config.k));
+  config.css =
+      flags.GetBool("css", grw::EstimatorConfig::DefaultCss(config.d));
+  config.nb = flags.GetBool("nb", grw::EstimatorConfig::DefaultNb(config.k));
   const int64_t steps = flags.GetInt("steps", 100000);
   const bool counts = flags.GetBool("counts");
   if (counts && config.d > 2) {
