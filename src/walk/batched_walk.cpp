@@ -64,9 +64,8 @@ void BatchedWalkT<G>::ValidateShape() {
   prev_.assign(slots, 0);
   has_prev_.assign(lanes_, 0);
   if (d_ >= 3) {
-    neighbors_.resize(lanes_);
-    neighbors_valid_.assign(lanes_, 0);
-    state_rows_.assign(static_cast<size_t>(lanes_) * 32, 0);
+    gd_.resize(lanes_);
+    counted_.assign(lanes_, 0);
     rows_ready_.assign(lanes_, 0);
     grow_.reserve(d_);
   }
@@ -115,7 +114,7 @@ void BatchedWalkT<G>::ResetLane(int lane, Rng& rng) {
   }
   std::sort(grow_.begin(), grow_.end());
   std::copy(grow_.begin(), grow_.end(), nodes);
-  neighbors_valid_[lane] = 0;
+  counted_[lane] = 0;
   rows_ready_[lane] = 0;
 }
 
@@ -170,7 +169,7 @@ void BatchedWalkT<G>::BuildStateRowsBatch(
         const int lane = lanes_todo[t];
         const VertexId* state =
             nodes_.data() + static_cast<size_t>(lane) * d_;
-        uint32_t* rows = state_rows_.data() + static_cast<size_t>(lane) * 32;
+        uint32_t* rows = gd_[lane].state_rows.data();
         for (int i = 0; i < d_; ++i) rows[i] = 0;
         for (int i = 0; i < d_; ++i) {
           for (int j = i + 1; j < d_; ++j, ++p) {
@@ -206,7 +205,7 @@ void BatchedWalkT<G>::PrepareLanes(std::span<const uint8_t> active) {
 
   todo_.clear();
   for (int lane = 0; lane < lanes_; ++lane) {
-    if (lane_active(lane) && neighbors_valid_[lane] == 0) {
+    if (lane_active(lane) && counted_[lane] == 0) {
       todo_.push_back(lane);
     }
   }
@@ -218,7 +217,7 @@ void BatchedWalkT<G>::PrepareLanes(std::span<const uint8_t> active) {
     }
   }
 
-  // Enumerate stale lanes, each overlapping the next lane's row fetch.
+  // Count stale lanes, each overlapping the next lane's row fetch.
   PrefetchLaneRows(todo_[0]);
   for (size_t t = 0; t < todo_.size(); ++t) {
     if (t + 1 < todo_.size()) PrefetchLaneRows(todo_[t + 1]);
@@ -228,18 +227,13 @@ void BatchedWalkT<G>::PrepareLanes(std::span<const uint8_t> active) {
 
 template <class G>
 void BatchedWalkT<G>::EnsureLane(int lane) const {
-  if (neighbors_valid_[lane] != 0) return;
-  std::vector<VertexId>& nbrs = neighbors_[lane];
-  nbrs.clear();
+  if (counted_[lane] != 0) return;
   if (rows_ready_[lane] != 0) {
-    EnumerateGdNeighborsWithRows(
-        Access(lane), LaneNodes(lane),
-        state_rows_.data() + static_cast<size_t>(lane) * 32, &nbrs,
-        scratch_);
+    CountGdNeighborsFromRows(Access(lane), LaneNodes(lane), gd_[lane]);
   } else {
-    EnumerateGdNeighbors(Access(lane), LaneNodes(lane), &nbrs, scratch_);
+    CountGdNeighbors(Access(lane), LaneNodes(lane), gd_[lane]);
   }
-  neighbors_valid_[lane] = 1;
+  counted_[lane] = 1;
   rows_ready_[lane] = 0;  // consumed; stale after the next transition
 }
 
@@ -253,7 +247,7 @@ uint64_t BatchedWalkT<G>::LaneStateDegree(int lane) const {
            2;
   }
   EnsureLane(lane);
-  return neighbors_[lane].size() / d_;
+  return gd_[lane].count;
 }
 
 template <class G>
@@ -315,25 +309,23 @@ void BatchedWalkT<G>::StepLane(int lane, Rng& rng) {
     return;
   }
 
-  // SubgraphWalkT::Step, verbatim over the lane's cached neighbor set.
+  // SubgraphWalkT::Step, verbatim over the lane's counted neighborhood.
   EnsureLane(lane);
-  const std::vector<VertexId>& nbrs = neighbors_[lane];
-  const size_t count = nbrs.size() / d_;
+  const GdScratch& gd = gd_[lane];
+  const uint64_t count = gd.count;
   assert(count > 0 && "state with no G(d) neighbors in a connected graph");
 
-  size_t pick = rng.UniformInt(count);
+  uint64_t pick = rng.UniformInt(count);
   if (nb_ && has_prev_[lane] != 0 && count >= 2) {
-    const auto is_prev = [&](size_t idx) {
-      return std::equal(prev, prev + d_, nbrs.begin() + idx * d_);
-    };
-    while (is_prev(pick)) pick = rng.UniformInt(count);
+    const uint64_t prev_rank =
+        GdNeighborRank(gd, {prev, static_cast<size_t>(d_)});
+    while (pick == prev_rank) pick = rng.UniformInt(count);
   }
 
   std::copy(nodes, nodes + d_, prev);
   has_prev_[lane] = 1;
-  std::copy(nbrs.begin() + pick * d_, nbrs.begin() + (pick + 1) * d_,
-            nodes);
-  neighbors_valid_[lane] = 0;
+  SelectGdNeighbor(gd, pick, nodes);
+  counted_[lane] = 0;
   rows_ready_[lane] = 0;
 }
 

@@ -4,11 +4,11 @@
 // one chain at a time, so every cache miss on a CSR row stalls the whole
 // pipeline. This kernel keeps W chains ("lanes") in structure-of-arrays
 // layout — one flat array per walk field (current nodes, previous nodes,
-// backtracking flags, neighbor caches) instead of an array of walker
+// backtracking flags, counted neighborhoods) instead of an array of walker
 // objects — and advances all lanes per step round:
 //
 //   * PrepareLanes() does the RNG-free heavy lifting for every lane at
-//     once: for d >= 3 it enumerates each stale lane's G(d) neighbor set
+//     once: for d >= 3 it counts each stale lane's G(d) neighborhood
 //     while software-prefetching the next lane's CSR rows, overlapping
 //     one lane's memory latency with another lane's compute; for d <= 2
 //     it prefetches each lane's current adjacency row.
@@ -73,8 +73,8 @@ class BatchedWalkT {
   void ResetLane(int lane, Rng& rng);
 
   /// RNG-free preparation of one step round for the lanes with
-  /// active[lane] != 0 (pass an empty span for "all lanes"): neighbor
-  /// enumeration (d >= 3, with cross-lane prefetch and batched signature
+  /// active[lane] != 0 (pass an empty span for "all lanes"): neighborhood
+  /// counting (d >= 3, with cross-lane prefetch and batched signature
   /// rejection where the access allows) or adjacency-row prefetch
   /// (d <= 2). Optional — StepLane falls back to per-lane preparation —
   /// but this is where the batching wins its throughput.
@@ -91,8 +91,8 @@ class BatchedWalkT {
             static_cast<size_t>(d_)};
   }
 
-  /// Degree of lane `lane`'s state in G(d); for d >= 3 this enumerates
-  /// (and caches) the lane's neighbor set like the scalar walker.
+  /// Degree of lane `lane`'s state in G(d); for d >= 3 this counts (and
+  /// keeps) the lane's neighborhood like the scalar walker.
   uint64_t LaneStateDegree(int lane) const;
 
  private:
@@ -113,15 +113,13 @@ class BatchedWalkT {
   std::vector<VertexId> prev_;     // lanes * d, previous states
   std::vector<uint8_t> has_prev_;  // per lane
 
-  // d >= 3 only: per-lane cached neighbor sets (flattened, d ids per
-  // neighbor) and their validity, per-lane state-adjacency rows filled by
-  // BuildStateRowsBatch, and the shared enumeration scratch. All mutable:
-  // caches behind the const StateDegree path, like the scalar walker.
-  mutable std::vector<std::vector<VertexId>> neighbors_;
-  mutable std::vector<uint8_t> neighbors_valid_;
-  mutable std::vector<uint32_t> state_rows_;  // lanes * 32
-  mutable std::vector<uint8_t> rows_ready_;   // per lane
-  mutable GdScratch scratch_;
+  // d >= 3 only: per-lane counted neighborhoods (each with its state
+  // rows, which BuildStateRowsBatch may fill ahead of the count) and
+  // whether they are current. All mutable: caches behind the const
+  // StateDegree path, like the scalar walker.
+  mutable std::vector<GdScratch> gd_;
+  mutable std::vector<uint8_t> counted_;
+  mutable std::vector<uint8_t> rows_ready_;  // per lane: gd_ rows filled
   mutable std::vector<int> todo_;  // PrepareLanes work list
   std::vector<VertexId> grow_;     // ResetLane's partial state
 };

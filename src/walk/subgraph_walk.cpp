@@ -1,5 +1,6 @@
 #include "walk/subgraph_walk.h"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 
@@ -47,110 +48,357 @@ bool InducedSubgraphConnected(const G& g, std::span<const VertexId> nodes) {
   return MaskRowsConnected(rows, n);
 }
 
-template <class G>
-uint64_t EnumerateGdNeighbors(const G& g, std::span<const VertexId> state,
-                              std::vector<VertexId>* out_neighbors,
-                              GdScratch& scratch) {
-  const int d = static_cast<int>(state.size());
-  assert(d >= 1 && d <= 32);
+namespace {
 
-  // Internal adjacency of the current state, once per call: C(d,2) edge
-  // queries that every evicted-vertex iteration below reuses.
-  uint32_t* srows = scratch.state_rows.data();
+// First index of sorted a[0..n) whose element is not below w, searching
+// from `from` (everything before it is below w). Galloping, so a run of
+// ascending queries costs O(log gap) each instead of O(log n).
+size_t GallopLowerBound(const VertexId* a, size_t n, size_t from,
+                        VertexId w) {
+  size_t lo = from;
+  size_t hi = from;
+  size_t step = 1;
+  while (hi < n && a[hi] < w) {
+    lo = hi + 1;
+    hi += step;
+    step <<= 1;
+  }
+  return static_cast<size_t>(
+      std::lower_bound(a + lo, a + std::min(hi, n), w) - a);
+}
+
+// Copies the sorted state into the scratch and resets its count.
+void LoadState(std::span<const VertexId> state, GdScratch& s) {
+  s.d = static_cast<int>(state.size());
+  assert(s.d >= 1 && s.d <= 32);
+  std::copy(state.begin(), state.end(), s.state.begin());
+  s.count = 0;
+}
+
+// Internal adjacency of the state: C(d,2) edge queries that every part
+// reuses.
+template <class G>
+void ProbeStateRows(const G& g, GdScratch& s) {
+  const int d = s.d;
+  uint32_t* srows = s.state_rows.data();
   for (int i = 0; i < d; ++i) srows[i] = 0;
   for (int i = 0; i < d; ++i) {
     for (int j = i + 1; j < d; ++j) {
-      if (g.HasEdge(state[i], state[j])) {
+      if (g.HasEdge(s.state[i], s.state[j])) {
         srows[i] |= 1u << j;
         srows[j] |= 1u << i;
       }
     }
   }
-  return EnumerateGdNeighborsWithRows(g, state, srows, out_neighbors,
-                                      scratch);
 }
 
-template <class G>
-uint64_t EnumerateGdNeighborsWithRows(const G& g,
-                                      std::span<const VertexId> state,
-                                      const uint32_t* srows,
-                                      std::vector<VertexId>* out_neighbors,
-                                      GdScratch& scratch) {
-  const int d = static_cast<int>(state.size());
-  assert(d >= 1 && d <= 32);
-
-  std::vector<VertexId>& base = scratch.base;
-  std::vector<VertexId>& candidate = scratch.candidate;
-  base.resize(d > 0 ? d - 1 : 0);
-  candidate.resize(d);
-  uint64_t count = 0;
+// Counts every part of the loaded state (rows filled); with kRecord, also
+// records the merged entries that selection walks.
+template <bool kRecord, class G>
+uint64_t CountParts(const G& g, GdScratch& s) {
+  const int d = s.d;
+  const uint32_t* srows = s.state_rows.data();
+  if constexpr (kRecord) s.entries.clear();
+  uint64_t total = 0;
 
   for (int out_idx = 0; out_idx < d; ++out_idx) {
+    GdScratch::Part& part = s.parts[out_idx];
+    part = GdScratch::Part{};
+    part.first_rank = total;
+    part.entries_begin = static_cast<uint32_t>(s.entries.size());
+    part.entries_end = part.entries_begin;
+    if (d == 1) continue;  // empty base: no neighbors
+
     // base = state minus the out_idx-th node, kept sorted; its internal
     // adjacency is the state's with row/column out_idx spliced out.
-    uint32_t* brows = scratch.base_rows.data();
+    // owner[j] is base[j]'s index in the state.
+    uint32_t brows[32];
+    int owner[32];
+    std::span<const VertexId> lists[32];
     const uint32_t low_mask = (1u << out_idx) - 1u;
     for (int i = 0, j = 0; i < d; ++i) {
       if (i == out_idx) continue;
-      base[j] = state[i];
+      owner[j] = i;
       const uint64_t row = srows[i];  // 64-bit so >> (out_idx + 1) is
                                       // defined even when out_idx == 31
       brows[j] = static_cast<uint32_t>((row & low_mask) |
                                        ((row >> (out_idx + 1)) << out_idx));
       ++j;
     }
+    const int nb = d - 1;
+    for (int j = 0; j < nb; ++j) lists[j] = g.Neighbors(s.state[owner[j]]);
+    int large = 0;
+    for (int j = 1; j < nb; ++j) {
+      if (lists[j].size() > lists[large].size()) large = j;
+    }
+    const std::span<const VertexId> big = lists[large];
 
     // Candidate incoming nodes are exactly the neighbors of the base
-    // outside the state (a node with no edge to the base can never yield
-    // a connected candidate, since all its candidate edges go to the
-    // base). A (d-1)-way sorted merge of the base neighbor lists yields
+    // outside the state. A sorted merge of the non-largest lists yields
     // each distinct candidate w in ascending order together with its
-    // base-adjacency mask for free: w is adjacent to base[i] iff it
-    // surfaced from list i. No edge queries, no sort, no dedup pass.
-    const VertexId** heads = scratch.heads.data();
-    const VertexId** ends = scratch.ends.data();
-    for (int i = 0; i + 1 < d; ++i) {
-      const auto list = g.Neighbors(base[i]);
-      heads[i] = list.data();
-      ends[i] = list.data() + list.size();
+    // adjacency to those base vertices (w is adjacent to base[j] iff it
+    // surfaced from list j); a galloping cursor over L adds L's bit.
+    const VertexId** heads = s.heads.data();
+    const VertexId** ends = s.ends.data();
+    uint32_t bits[32];
+    int lists_merged = 0;
+    for (int j = 0; j < nb; ++j) {
+      if (j == large) continue;
+      heads[lists_merged] = lists[j].data();
+      ends[lists_merged] = lists[j].data() + lists[j].size();
+      bits[lists_merged] = 1u << j;
+      ++lists_merged;
     }
-    size_t state_pos = 0;  // cursor into the (sorted) state for skipping
+    size_t cursor = 0;     // into L
+    int state_pos = 0;     // into the (sorted) state, for skipping
+    uint64_t valid = 0;
+    uint64_t merged_in_large = 0;
     while (true) {
-      // Find the smallest head across the lists and collect which lists
-      // carry it (that set IS the candidate's base-adjacency mask).
       VertexId w = ~static_cast<VertexId>(0);
       uint32_t wmask = 0;
-      for (int i = 0; i + 1 < d; ++i) {
-        if (heads[i] == ends[i]) continue;
-        const VertexId head = *heads[i];
+      for (int t = 0; t < lists_merged; ++t) {
+        if (heads[t] == ends[t]) continue;
+        const VertexId head = *heads[t];
         if (head < w) {
           w = head;
-          wmask = 1u << i;
+          wmask = bits[t];
         } else if (head == w) {
-          wmask |= 1u << i;
+          wmask |= bits[t];
         }
       }
       if (wmask == 0) break;  // all lists exhausted
-      for (int i = 0; i + 1 < d; ++i) heads[i] += (wmask >> i) & 1u;
-      while (state_pos < state.size() && state[state_pos] < w) ++state_pos;
-      if (state_pos < state.size() && state[state_pos] == w) continue;
-
-      uint32_t rows[32];
-      for (int i = 0; i + 1 < d; ++i) {
-        rows[i] = brows[i] | (((wmask >> i) & 1u) << (d - 1));
+      for (int t = 0; t < lists_merged; ++t) {
+        heads[t] += (wmask & bits[t]) != 0 ? 1 : 0;
       }
-      rows[d - 1] = wmask;
-      if (!MaskRowsConnected(rows, d)) continue;
-      ++count;
-      if (out_neighbors != nullptr) {
-        // candidate = sorted(base + {w}). Distinct (out_idx, w) pairs
-        // always produce distinct candidates, so no cross-out_idx dedup
-        // is needed.
-        std::merge(base.begin(), base.end(), &w, &w + 1, candidate.begin());
-        out_neighbors->insert(out_neighbors->end(), candidate.begin(),
-                              candidate.end());
+      while (state_pos < d && s.state[state_pos] < w) ++state_pos;
+      if (state_pos < d && s.state[state_pos] == w) continue;
+
+      cursor = GallopLowerBound(big.data(), big.size(), cursor, w);
+      const bool in_large = cursor < big.size() && big[cursor] == w;
+      wmask |= static_cast<uint32_t>(in_large) << large;
+      uint32_t rows[32];
+      for (int j = 0; j < nb; ++j) {
+        rows[j] = brows[j] | (((wmask >> j) & 1u) << nb);
+      }
+      rows[nb] = wmask;
+      const bool ok = MaskRowsConnected(rows, d);
+      valid += ok ? 1 : 0;
+      merged_in_large += in_large ? 1 : 0;
+      if constexpr (kRecord) {
+        s.entries.push_back({w, static_cast<uint32_t>(cursor), in_large, ok});
       }
     }
+
+    // Vertices only in L attach to the base through L's owner alone: all
+    // valid iff the base is connected. Their number: |L| minus the merged
+    // candidates found in L minus the state members in L (the owner's
+    // state row).
+    part.count = valid;
+    part.large = big;
+    part.large_vertex = owner[large];
+    part.base_connected = MaskRowsConnected(brows, nb);
+    if (part.base_connected) {
+      part.count += big.size() - merged_in_large -
+                    static_cast<uint64_t>(std::popcount(srows[owner[large]]));
+    }
+    part.entries_end = static_cast<uint32_t>(s.entries.size());
+    total += part.count;
+  }
+  return total;
+}
+
+// Walks one recorded part in rank order. on_run(lo, hi, states) gets each
+// stretch [lo, hi) of L's positions that holds only L-only candidates and
+// the positions `states` (ascending) of state members; on_entry(w) gets
+// each valid merged candidate. Runs come only when the base is connected.
+// Either callback returns true to stop the walk.
+template <class OnRun, class OnEntry>
+void WalkPart(const GdScratch& s, const GdScratch::Part& part,
+              OnRun&& on_run, OnEntry&& on_entry) {
+  const VertexId* big = part.large.data();
+  const size_t n = part.large.size();
+  // Positions of the state members in L: d log Δ.
+  std::array<uint32_t, 32> state_pos;
+  int states = 0;
+  if (part.base_connected) {
+    for (uint32_t m = s.state_rows[part.large_vertex]; m != 0; m &= m - 1) {
+      const VertexId v = s.state[std::countr_zero(m)];
+      state_pos[states++] =
+          static_cast<uint32_t>(std::lower_bound(big, big + n, v) - big);
+    }
+  }
+  int si = 0;
+  size_t lo = 0;
+  const auto run = [&](size_t hi) {
+    const int first = si;
+    while (si < states && state_pos[si] < hi) ++si;
+    return on_run(lo, hi,
+                  std::span<const uint32_t>(state_pos.data() + first,
+                                            static_cast<size_t>(si - first)));
+  };
+  for (uint32_t e = part.entries_begin; e < part.entries_end; ++e) {
+    const GdScratch::Entry& entry = s.entries[e];
+    if (part.base_connected && run(entry.large_pos)) return;
+    lo = entry.large_pos + (entry.in_large ? 1 : 0);
+    if (entry.valid && on_entry(entry.w)) return;
+  }
+  if (part.base_connected) run(n);
+}
+
+// Writes sorted(state minus state[out_idx], plus w) to out.
+void WriteNeighbor(const GdScratch& s, int out_idx, VertexId w,
+                   VertexId* out) {
+  bool placed = false;
+  for (int i = 0; i < s.d; ++i) {
+    if (i == out_idx) continue;
+    if (!placed && w < s.state[i]) {
+      *out++ = w;
+      placed = true;
+    }
+    *out++ = s.state[i];
+  }
+  if (!placed) *out = w;
+}
+
+}  // namespace
+
+template <class G>
+uint64_t CountGdNeighbors(const G& g, std::span<const VertexId> state,
+                          GdScratch& scratch) {
+  LoadState(state, scratch);
+  ProbeStateRows(g, scratch);
+  return scratch.count = CountParts<true>(g, scratch);
+}
+
+template <class G>
+uint64_t CountGdNeighborsFromRows(const G& g,
+                                  std::span<const VertexId> state,
+                                  GdScratch& scratch) {
+  LoadState(state, scratch);
+  return scratch.count = CountParts<true>(g, scratch);
+}
+
+void SelectGdNeighbor(const GdScratch& s, uint64_t rank, VertexId* out) {
+  assert(rank < s.count);
+  int out_idx = 0;
+  while (rank >= s.parts[out_idx].first_rank + s.parts[out_idx].count) {
+    ++out_idx;
+  }
+  const GdScratch::Part& part = s.parts[out_idx];
+  const VertexId* big = part.large.data();
+  uint64_t r = rank - part.first_rank;
+  VertexId chosen = 0;
+  WalkPart(
+      s, part,
+      [&](size_t lo, size_t hi, std::span<const uint32_t> states) {
+        const uint64_t run = hi - lo - states.size();
+        if (r >= run) {
+          r -= run;
+          return false;
+        }
+        size_t p = lo + r;  // the r-th position of the run, skipping states
+        for (const uint32_t sp : states) {
+          if (sp > p) break;
+          ++p;
+        }
+        chosen = big[p];
+        return true;
+      },
+      [&](VertexId w) {
+        if (r == 0) {
+          chosen = w;
+          return true;
+        }
+        --r;
+        return false;
+      });
+  WriteNeighbor(s, out_idx, chosen, out);
+}
+
+uint64_t GdNeighborRank(const GdScratch& s,
+                        std::span<const VertexId> neighbor) {
+  // The neighbor differs from the state in one evicted member
+  // (state[out_idx]) and one incoming vertex w.
+  const int d = s.d;
+  if (static_cast<int>(neighbor.size()) != d) return s.count;
+  int out_idx = -1;
+  int in_idx = -1;
+  for (int i = 0, j = 0; i < d || j < d;) {
+    if (i < d && j < d && s.state[i] == neighbor[j]) {
+      ++i;
+      ++j;
+    } else if (j == d || (i < d && s.state[i] < neighbor[j])) {
+      if (out_idx >= 0) return s.count;
+      out_idx = i++;
+    } else {
+      if (in_idx >= 0) return s.count;
+      in_idx = j++;
+    }
+  }
+  if (out_idx < 0 || in_idx < 0) return s.count;
+  const VertexId w = neighbor[in_idx];
+  const GdScratch::Part& part = s.parts[out_idx];
+  const VertexId* big = part.large.data();
+  const size_t n = part.large.size();
+  size_t w_pos = static_cast<size_t>(std::lower_bound(big, big + n, w) - big);
+  if (w_pos == n || big[w_pos] != w) w_pos = n;  // not in L
+
+  uint64_t rank = part.first_rank;
+  bool found = false;
+  WalkPart(
+      s, part,
+      [&](size_t lo, size_t hi, std::span<const uint32_t> states) {
+        if (w_pos >= lo && w_pos < hi) {
+          // w is L-only here: count the run's positions below it.
+          rank += w_pos - lo;
+          for (const uint32_t sp : states) rank -= sp < w_pos ? 1 : 0;
+          found = true;
+          return true;
+        }
+        rank += hi - lo - states.size();
+        return false;
+      },
+      [&](VertexId v) {
+        if (v == w) {
+          found = true;
+          return true;
+        }
+        ++rank;
+        return false;
+      });
+  return found ? rank : s.count;
+}
+
+template <class G>
+uint64_t EnumerateGdNeighbors(const G& g, std::span<const VertexId> state,
+                              std::vector<VertexId>* out_neighbors,
+                              GdScratch& scratch) {
+  if (out_neighbors == nullptr) return SubgraphStateDegree(g, state, scratch);
+  const uint64_t count = CountGdNeighbors(g, state, scratch);
+  const int d = scratch.d;
+  for (int out_idx = 0; out_idx < d; ++out_idx) {
+    const GdScratch::Part& part = scratch.parts[out_idx];
+    const VertexId* big = part.large.data();
+    const auto emit = [&](VertexId w) {
+      const size_t at = out_neighbors->size();
+      out_neighbors->resize(at + d);
+      WriteNeighbor(scratch, out_idx, w, out_neighbors->data() + at);
+      return false;
+    };
+    WalkPart(
+        scratch, part,
+        [&](size_t lo, size_t hi, std::span<const uint32_t> states) {
+          size_t next_state = 0;
+          for (size_t p = lo; p < hi; ++p) {
+            if (next_state < states.size() && states[next_state] == p) {
+              ++next_state;
+            } else {
+              emit(big[p]);
+            }
+          }
+          return false;
+        },
+        emit);
   }
   return count;
 }
@@ -215,7 +463,11 @@ void EnumerateGdNeighborsReference(const Graph& g,
 template <class G>
 uint64_t SubgraphStateDegree(const G& g, std::span<const VertexId> state,
                              GdScratch& scratch) {
-  return EnumerateGdNeighbors(g, state, nullptr, scratch);
+  LoadState(state, scratch);
+  ProbeStateRows(g, scratch);
+  // Not recorded: the scratch cannot serve SelectGdNeighbor afterwards.
+  scratch.entries.clear();
+  return scratch.count = CountParts<false>(g, scratch);
 }
 
 template <class G>
@@ -249,75 +501,49 @@ void SubgraphWalkT<G>::ResetInRange(Rng& rng, VertexId lo, VertexId hi) {
   }
   std::sort(nodes_.begin(), nodes_.end());
   prev_.clear();
-  neighbors_valid_ = false;
+  counted_ = false;
 }
 
 template <class G>
 void SubgraphWalkT<G>::Step(Rng& rng) {
-  EnsureNeighbors();
-  const size_t count = neighbors_.size() / d_;
+  EnsureCounted();
+  const uint64_t count = gd_.count;
   assert(count > 0 && "state with no G(d) neighbors in a connected graph");
 
-  size_t pick = rng.UniformInt(count);
+  uint64_t pick = rng.UniformInt(count);
   if (nb_ && !prev_.empty() && count >= 2) {
-    // Uniform over neighbors excluding the previous state.
-    auto is_prev = [this](size_t idx) {
-      return std::equal(prev_.begin(), prev_.end(),
-                        neighbors_.begin() + idx * d_);
-    };
-    while (is_prev(pick)) pick = rng.UniformInt(count);
+    // Uniform over neighbors excluding the previous state, which is the
+    // neighbor of rank prev_rank.
+    const uint64_t prev_rank = GdNeighborRank(gd_, prev_);
+    while (pick == prev_rank) pick = rng.UniformInt(count);
   }
 
   prev_ = nodes_;
-  nodes_.assign(neighbors_.begin() + pick * d_,
-                neighbors_.begin() + (pick + 1) * d_);
-  neighbors_valid_ = false;
+  SelectGdNeighbor(gd_, pick, nodes_.data());
+  counted_ = false;
 }
 
-template <class G>
-uint64_t SubgraphWalkT<G>::DegreeOfState(
-    std::span<const VertexId> state_nodes) const {
-  return SubgraphStateDegree(*g_, state_nodes, scratch_);
-}
-
-// The policy family is closed (graph/access.h): full access and crawl
+// The policy family is closed (graph/access.h): full, crawl and sharded
 // access. Instantiating here keeps the hot path out of every includer
-// while still compiling both policies with full optimization context.
-template bool InducedSubgraphConnected<Graph>(const Graph&,
-                                              std::span<const VertexId>);
-template bool InducedSubgraphConnected<CrawlAccess>(
-    const CrawlAccess&, std::span<const VertexId>);
-template uint64_t EnumerateGdNeighbors<Graph>(const Graph&,
-                                              std::span<const VertexId>,
-                                              std::vector<VertexId>*,
-                                              GdScratch&);
-template uint64_t EnumerateGdNeighbors<CrawlAccess>(
-    const CrawlAccess&, std::span<const VertexId>, std::vector<VertexId>*,
-    GdScratch&);
-template uint64_t EnumerateGdNeighborsWithRows<Graph>(
-    const Graph&, std::span<const VertexId>, const uint32_t*,
-    std::vector<VertexId>*, GdScratch&);
-template uint64_t EnumerateGdNeighborsWithRows<CrawlAccess>(
-    const CrawlAccess&, std::span<const VertexId>, const uint32_t*,
-    std::vector<VertexId>*, GdScratch&);
-template uint64_t SubgraphStateDegree<Graph>(const Graph&,
-                                             std::span<const VertexId>,
-                                             GdScratch&);
-template uint64_t SubgraphStateDegree<CrawlAccess>(const CrawlAccess&,
-                                                   std::span<const VertexId>,
-                                                   GdScratch&);
-template bool InducedSubgraphConnected<ShardedAccess>(
-    const ShardedAccess&, std::span<const VertexId>);
-template uint64_t EnumerateGdNeighbors<ShardedAccess>(
-    const ShardedAccess&, std::span<const VertexId>, std::vector<VertexId>*,
-    GdScratch&);
-template uint64_t EnumerateGdNeighborsWithRows<ShardedAccess>(
-    const ShardedAccess&, std::span<const VertexId>, const uint32_t*,
-    std::vector<VertexId>*, GdScratch&);
-template uint64_t SubgraphStateDegree<ShardedAccess>(
-    const ShardedAccess&, std::span<const VertexId>, GdScratch&);
-template class SubgraphWalkT<Graph>;
-template class SubgraphWalkT<CrawlAccess>;
-template class SubgraphWalkT<ShardedAccess>;
+// while still compiling each policy with full optimization context.
+#define GRW_INSTANTIATE_GD(G)                                              \
+  template bool InducedSubgraphConnected<G>(const G&,                      \
+                                            std::span<const VertexId>);    \
+  template uint64_t CountGdNeighbors<G>(const G&, std::span<const VertexId>, \
+                                        GdScratch&);                       \
+  template uint64_t CountGdNeighborsFromRows<G>(                           \
+      const G&, std::span<const VertexId>, GdScratch&);                    \
+  template uint64_t EnumerateGdNeighbors<G>(                               \
+      const G&, std::span<const VertexId>, std::vector<VertexId>*,         \
+      GdScratch&);                                                         \
+  template uint64_t SubgraphStateDegree<G>(                                \
+      const G&, std::span<const VertexId>, GdScratch&);                    \
+  template class SubgraphWalkT<G>;
+
+GRW_INSTANTIATE_GD(Graph)
+GRW_INSTANTIATE_GD(CrawlAccess)
+GRW_INSTANTIATE_GD(ShardedAccess)
+
+#undef GRW_INSTANTIATE_GD
 
 }  // namespace grw

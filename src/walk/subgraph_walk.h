@@ -2,36 +2,44 @@
 // subgraphs, enumerated on the fly.
 //
 // This is the walk behind SRW3 and SRW4 — i.e. PSRW (Wang et al.) when
-// d = k-1 — kept as the paper's main comparison method. Per Section 5,
-// drawing a *uniform* neighbor of a state s requires generating all
-// neighbors: every t = (V(s) \ {v_out}) ∪ {v_in} with v_in adjacent to the
-// remainder and t connected. That costs O(d^2 |E|/|V|) per step, which is
-// exactly why the paper argues for walking with small d; our Table 6 bench
-// reproduces the resulting runtime gap.
+// d = k-1 — kept as the paper's main comparison method. A neighbour of a
+// state s is every t = (V(s) \ {v_out}) ∪ {v_in} with v_in adjacent to the
+// remainder (the "base") and t connected. Section 5 of the paper draws a
+// uniform neighbour by generating all of them, at O(d^2 |E|/|V|) per step.
+// This walk counts them instead and draws one by rank.
 //
-// Hot-path design: enumeration reuses a caller-owned GdScratch (zero
-// allocations once warm) and checks candidate connectivity incrementally —
-// the state's internal adjacency mask is built once per call with C(d,2)
-// edge queries, each evicted vertex derives its base mask by bit surgery,
-// and candidates come from a (d-1)-way sorted merge of the base vertices'
-// neighbor lists: each distinct v_in arrives in ascending order *with its
-// base-adjacency mask already assembled* (v_in is adjacent to base[i] iff
-// it surfaced from list i), so a candidate costs zero edge queries — just
-// an O(d) bitmask BFS. The pre-optimization path is preserved as
-// EnumerateGdNeighborsReference for the equivalence tests and the
-// micro-bench baseline.
+// Count and select: the neighbours are ranked out_idx-major (the index of
+// v_out in the sorted state), then by ascending v_in. For each evicted
+// vertex the base's longest neighbour list L is never merged. The other
+// d-2 lists go through a sorted merge that yields each distinct v_in with
+// its base-adjacency mask; a monotone galloping cursor over L adds L's bit,
+// and an O(d) bitmask BFS over the state's internal adjacency (C(d,2) edge
+// queries, built once per state) decides connectivity. Those merged ids
+// are recorded. Vertices that appear only in L attach to the base through
+// one vertex, so they are all valid iff the base is connected, and their
+// number is closed-form: |L| minus the merged ids found in L minus the
+// state members in L. Select(rank) walks the recorded ids and resolves a
+// rank that falls among L-only vertices by arithmetic on L's positions;
+// only the chosen state is ever written. A step costs
+// O(d * (sum of the non-largest base degrees) + d log Δ) — the hubs that
+// dominate the merge cost are exactly the lists never merged. The
+// pre-optimization enumerator is kept as EnumerateGdNeighborsReference, the
+// oracle of the equivalence tests and the micro-bench baseline.
 //
 // Everything here is templated on the graph access policy (graph/access.h)
-// with explicit instantiations for Graph (full access — the unchanged PR 4
-// hot path) and CrawlAccess in subgraph_walk.cpp. Each edge query and
-// neighbor-list read goes through the policy, so a crawl simulation
-// charges the enumeration its true API cost.
+// with explicit instantiations for Graph, CrawlAccess and ShardedAccess in
+// subgraph_walk.cpp. Each edge query and neighbor-list read goes through
+// the policy — the C(d,2) state probes, then Neighbors() of each base
+// vertex per evicted vertex, in that order — so a crawl simulation charges
+// the enumeration its true API cost. L's membership comes from searching
+// spans already fetched, never from extra queries.
 
 #pragma once
 
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -40,25 +48,77 @@
 
 namespace grw {
 
-/// Reusable scratch for G(d) neighbor enumeration. One instance per
-/// walker/chain; reuse across calls makes the hot path allocation-free
-/// after the first few steps (the vectors keep their high-water capacity).
+/// The counted G(d) neighbourhood of one state: what CountGdNeighbors
+/// records so that SelectGdNeighbor and GdNeighborRank need no further
+/// access calls. One instance per walker/chain/lane; reuse keeps the hot
+/// path allocation-free once `entries` reaches its high-water capacity.
 struct GdScratch {
-  std::vector<VertexId> base;       // state minus the evicted vertex
-  std::vector<VertexId> candidate;  // base plus the incoming vertex
+  /// One merged (non-largest-list) candidate v_in of a part, not in the
+  /// state. large_pos is the number of L's ids below w.
+  struct Entry {
+    VertexId w;
+    uint32_t large_pos;
+    bool in_large;  // w is also in L
+    bool valid;     // base + {w} is connected
+  };
+  /// The neighbours that evict state[out_idx], ranks
+  /// [first_rank, first_rank + count).
+  struct Part {
+    uint64_t first_rank = 0;
+    uint64_t count = 0;
+    std::span<const VertexId> large;  // L: the longest base list
+    int large_vertex = 0;   // state index of L's owner
+    bool base_connected = false;
+    uint32_t entries_begin = 0;  // this part's slice of `entries`
+    uint32_t entries_end = 0;
+  };
+
+  int d = 0;
+  uint64_t count = 0;  // neighbours of `state`
+  std::array<VertexId, 32> state = {};       // sorted
   std::array<uint32_t, 32> state_rows = {};  // state internal adjacency
-  std::array<uint32_t, 32> base_rows = {};   // derived per evicted vertex
-  // Cursors for the (d-1)-way sorted merge over base neighbor lists.
+  std::array<Part, 32> parts = {};
+  std::vector<Entry> entries;
+  // Cursors for the sorted merge over the non-largest base lists.
   std::array<const VertexId*, 32> heads = {};
   std::array<const VertexId*, 32> ends = {};
 };
 
-/// Appends to *out_neighbors (if non-null) all G(d)-neighbors of `state`
-/// (sorted node ids, d = state.size() <= 32), flattened d ids per
-/// neighbor, each sorted; returns the neighbor count. A neighbor is any
-/// connected induced d-node subgraph sharing exactly d-1 nodes with
-/// `state`. Pass out_neighbors == nullptr to count without materializing.
-/// Defined in subgraph_walk.cpp; instantiated for Graph and CrawlAccess.
+/// Counts the G(d)-neighbors of `state` (sorted node ids, 1 <= d =
+/// state.size() <= 32) and records them in `scratch` for SelectGdNeighbor
+/// and GdNeighborRank. A neighbor is any connected induced d-node subgraph
+/// sharing exactly d-1 nodes with `state`. Probes the C(d,2) state rows
+/// first. Defined in subgraph_walk.cpp for Graph, CrawlAccess and
+/// ShardedAccess.
+template <class G>
+uint64_t CountGdNeighbors(const G& g, std::span<const VertexId> state,
+                          GdScratch& scratch);
+
+/// As CountGdNeighbors, with scratch.state_rows (bit j of row i = edge
+/// state[i]~state[j]) already filled by the caller instead of probed here.
+/// The batched walk kernel builds the rows for a whole lane batch at once
+/// (vectorized signature rejection); the result is identical given correct
+/// rows.
+template <class G>
+uint64_t CountGdNeighborsFromRows(const G& g,
+                                  std::span<const VertexId> state,
+                                  GdScratch& scratch);
+
+/// Writes the neighbor of rank `rank` (< scratch.count) as d sorted ids to
+/// out[0..d): the rank-th state EnumerateGdNeighbors would emit. No access
+/// calls. `out` may alias nothing in `scratch`.
+void SelectGdNeighbor(const GdScratch& scratch, uint64_t rank,
+                      VertexId* out);
+
+/// The rank of `neighbor` (d sorted ids) among the recorded neighbors, or
+/// scratch.count if it is not one. No access calls.
+uint64_t GdNeighborRank(const GdScratch& scratch,
+                        std::span<const VertexId> neighbor);
+
+/// Appends to *out_neighbors (if non-null) every G(d)-neighbor of `state`
+/// in rank order, flattened d sorted ids per neighbor; returns the
+/// neighbor count. CountGdNeighbors followed by a walk of the recorded
+/// parts (tests, benches; the walk itself never materialises).
 template <class G>
 uint64_t EnumerateGdNeighbors(const G& g, std::span<const VertexId> state,
                               std::vector<VertexId>* out_neighbors,
@@ -73,29 +133,17 @@ inline void EnumerateGdNeighbors(const G& g,
   EnumerateGdNeighbors(g, state, out_neighbors, scratch);
 }
 
-/// As EnumerateGdNeighbors, but with the state's internal adjacency rows
-/// (bit j of state_rows[i] = edge state[i]~state[j]) supplied by the
-/// caller instead of probed here. The batched walk kernel builds the rows
-/// for a whole lane batch at once (vectorized signature rejection) and
-/// feeds them in; results are identical to the probing overload given
-/// correct rows.
-template <class G>
-uint64_t EnumerateGdNeighborsWithRows(const G& g,
-                                      std::span<const VertexId> state,
-                                      const uint32_t* state_rows,
-                                      std::vector<VertexId>* out_neighbors,
-                                      GdScratch& scratch);
-
 /// The pre-acceleration enumerator: per-call vector allocations and a full
 /// adjacency-probing BFS per candidate. Kept verbatim as the behavioral
-/// reference — tests assert the accelerated path emits the identical
+/// reference — tests assert the count-and-select core ranks the identical
 /// flattened neighbor sequence, and bench_micro_hasedge uses it as the
 /// end-to-end SRW baseline. Full access only.
 void EnumerateGdNeighborsReference(const Graph& g,
                                    std::span<const VertexId> state,
                                    std::vector<VertexId>* out_neighbors);
 
-/// Degree of `state` in G(d): the number of neighbors above.
+/// Degree of `state` in G(d): the number of neighbors above, counted
+/// without recording anything for selection.
 template <class G>
 uint64_t SubgraphStateDegree(const G& g, std::span<const VertexId> state,
                              GdScratch& scratch);
@@ -142,25 +190,20 @@ class SubgraphWalkT final : public StateWalker {
     return {nodes_.data(), nodes_.size()};
   }
 
-  /// Number of neighbor states; triggers (cached) neighbor enumeration.
+  /// Number of neighbor states; counts (once per state) the neighborhood
+  /// that Step then selects from.
   uint64_t StateDegree() const override {
-    EnsureNeighbors();
-    return neighbors_.size() / d_;
+    EnsureCounted();
+    return gd_.count;
   }
 
   bool non_backtracking() const override { return nb_; }
 
-  /// Degree in G(d) of an arbitrary connected induced d-node subgraph,
-  /// given as a node set. Used by CSS weighting for d >= 3 (the expensive
-  /// path the paper excludes from its benchmarks as SRW3CSS).
-  uint64_t DegreeOfState(std::span<const VertexId> state_nodes) const;
-
  private:
-  void EnsureNeighbors() const {
-    if (!neighbors_valid_) {
-      neighbors_.clear();
-      EnumerateGdNeighbors(*g_, Nodes(), &neighbors_, scratch_);
-      neighbors_valid_ = true;
+  void EnsureCounted() const {
+    if (!counted_) {
+      CountGdNeighbors(*g_, Nodes(), gd_);
+      counted_ = true;
     }
   }
 
@@ -169,9 +212,8 @@ class SubgraphWalkT final : public StateWalker {
   bool nb_;
   std::vector<VertexId> nodes_;  // sorted
   std::vector<VertexId> prev_;   // sorted; empty until first Step
-  mutable std::vector<VertexId> neighbors_;  // flattened neighbor states
-  mutable bool neighbors_valid_ = false;
-  mutable GdScratch scratch_;
+  mutable GdScratch gd_;         // the current state's neighborhood
+  mutable bool counted_ = false;
 };
 
 /// The full-access walk every pre-policy call site uses.

@@ -1,13 +1,24 @@
 // Tests for the random-walk substrate: stationary distributions, neighbor
-// enumeration on G(d), and non-backtracking behavior.
+// enumeration on G(d), count-and-select against the reference enumerator,
+// and non-backtracking behavior.
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <algorithm>
+#include <filesystem>
 #include <map>
+#include <span>
+#include <string>
+#include <type_traits>
 #include <vector>
 
+#include "graph/access.h"
 #include "graph/builder.h"
 #include "graph/generators.h"
+#include "graph/sharded_access.h"
+#include "graph/sharding.h"
 #include "util/rng.h"
 #include "walk/edge_walk.h"
 #include "walk/node_walk.h"
@@ -231,6 +242,139 @@ TEST(SubgraphWalkTest, StationaryDistributionOnSmallGraph) {
   }
   for (const auto& [nodes, deg] : states) expected[nodes] = deg / degree_sum;
   ExpectStationary(visits, expected, steps, 0.12);
+}
+
+// Count-and-select must rank exactly the sequence the reference
+// enumerator emits: CountGdNeighbors is its length, SelectGdNeighbor(i) its
+// i-th state, GdNeighborRank inverts SelectGdNeighbor, and the count-only
+// SubgraphStateDegree agrees.
+template <class A>
+void ExpectSelectMatchesReference(const A& access, const Graph& g,
+                                  std::span<const VertexId> state,
+                                  GdScratch& scratch) {
+  std::vector<VertexId> reference;
+  EnumerateGdNeighborsReference(g, state, &reference);
+  const size_t d = state.size();
+  const uint64_t count = CountGdNeighbors(access, state, scratch);
+  ASSERT_EQ(count, reference.size() / d);
+  std::vector<VertexId> picked(d);
+  for (uint64_t i = 0; i < count; ++i) {
+    SelectGdNeighbor(scratch, i, picked.data());
+    ASSERT_TRUE(std::equal(picked.begin(), picked.end(),
+                           reference.begin() + static_cast<long>(i * d)))
+        << "rank " << i;
+    ASSERT_EQ(GdNeighborRank(scratch, picked), i);
+  }
+  // A set that is not a neighbor has no rank.
+  EXPECT_EQ(GdNeighborRank(scratch, state), count);
+  GdScratch fresh;
+  EXPECT_EQ(SubgraphStateDegree(access, state, fresh), count);
+}
+
+// Runs check(access) through full access to g, a crawler with a one-entry
+// cache, and a four-shard store held to a one-shard budget.
+template <class Check>
+void ForEachAccess(const Graph& g, const Check& check) {
+  {
+    SCOPED_TRACE("Graph");
+    check(g);
+  }
+  {
+    SCOPED_TRACE("CrawlAccess cache 1");
+    CrawlAccess::Options options;
+    options.cache_entries = 1;
+    const CrawlAccess crawl(g, options);
+    check(crawl);
+  }
+  {
+    SCOPED_TRACE("ShardedAccess one-shard budget");
+    const std::filesystem::path dir =
+        std::filesystem::temp_directory_path() /
+        ("walk_test_shards." + std::to_string(::getpid()));
+    std::filesystem::remove_all(dir);
+    ShardingOptions sharding;
+    sharding.num_shards = 4;
+    WriteShardedGraph(g, dir.string(), sharding);
+    {
+      ShardStore::Options options;
+      options.resident_budget_bytes = 1;
+      const ShardStore store(LoadShardManifest(dir.string()), options);
+      const ShardedAccess sharded(store);
+      check(sharded);
+    }
+    std::filesystem::remove_all(dir);
+  }
+}
+
+TEST(GdCountSelectTest, SelectMatchesReferenceOnWalkedStates) {
+  Rng gen(91);
+  const Graph hk = LargestConnectedComponent(HolmeKim(600, 3, 0.3, gen));
+  const Graph ba = LargestConnectedComponent(BarabasiAlbert(600, 3, gen));
+  for (const Graph* g : {&hk, &ba}) {
+    ForEachAccess(*g, [&](const auto& access) {
+      using A = std::decay_t<decltype(access)>;
+      GdScratch scratch;  // reused across states: catches stale parts
+      for (const int d : {3, 4, 5}) {
+        SCOPED_TRACE("d=" + std::to_string(d));
+        SubgraphWalkT<A> walk(access, d);
+        Rng rng(500 + d);
+        walk.Reset(rng);
+        for (int s = 0; s < 90 / d; ++s) {
+          ExpectSelectMatchesReference(access, *g, walk.Nodes(), scratch);
+          if (testing::Test::HasFatalFailure()) return;
+          walk.Step(rng);
+        }
+      }
+    });
+  }
+}
+
+TEST(GdCountSelectTest, SelectMatchesReferenceOnEveryStateOfSmallGraphs) {
+  // Every connected 3- and 4-set of small graphs that force the corner
+  // cases of the closed-form count:
+  //  * hub: path state {0,1,2} with 0 a hub — evicting 1 leaves the base
+  //    {0,2} disconnected, so only common neighbors of 0 and 2 count and
+  //    the hub's own list contributes nothing alone;
+  //  * complete and cycle graphs: every base list ties for the largest;
+  //  * every graph: state members inside the largest list.
+  std::vector<std::pair<VertexId, VertexId>> edges = {
+      {0, 1}, {1, 2}, {2, 11}, {2, 12}, {11, 0}};
+  for (VertexId v = 3; v <= 10; ++v) edges.emplace_back(0, v);
+  const Graph hub = FromEdges(13, edges);
+  {
+    const std::vector<VertexId> path = {0, 1, 2};
+    std::vector<VertexId> out;
+    EnumerateGdNeighbors(hub, path, &out);
+    // Evict 0: {1,2,11}, {1,2,12}. Evict 1: {0,2,11} only (base
+    // disconnected). Evict 2: {0,1,v} for the hub's 9 other neighbors.
+    EXPECT_EQ(out.size() / 3, 12u);
+    EXPECT_EQ(SubgraphStateDegree(hub, path), 12u);
+  }
+  const Graph complete = Complete(6);
+  const Graph cycle = Cycle(7);
+  const Graph lollipop = Lollipop(5, 3);
+  for (const Graph* g : {&hub, &complete, &cycle, &lollipop}) {
+    ForEachAccess(*g, [&](const auto& access) {
+      GdScratch scratch;
+      const VertexId n = g->NumNodes();
+      for (const int d : {3, 4}) {
+        // All d-subsets in lexicographic order, kept when connected.
+        std::vector<VertexId> set(d);
+        for (int i = 0; i < d; ++i) set[i] = static_cast<VertexId>(i);
+        while (true) {
+          if (InducedSubgraphConnected(*g, std::span<const VertexId>(set))) {
+            ExpectSelectMatchesReference(access, *g, set, scratch);
+            if (testing::Test::HasFatalFailure()) return;
+          }
+          int i = d - 1;
+          while (i >= 0 && set[i] == n - d + i) --i;
+          if (i < 0) break;
+          ++set[i];
+          for (int j = i + 1; j < d; ++j) set[j] = set[j - 1] + 1;
+        }
+      }
+    });
+  }
 }
 
 TEST(WalkGuardsTest, TooSmallGraphsAreRejected) {
