@@ -43,7 +43,7 @@ struct WindowState {
 
 /// Sliding window of l consecutive d-node states, reading adjacency
 /// through access policy G. Defined in sample_window.cpp; instantiated
-/// for Graph and CrawlAccess.
+/// for Graph, CrawlAccess and ShardedAccess.
 template <class G = Graph>
 class SampleWindowT {
  public:

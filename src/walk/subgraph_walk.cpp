@@ -138,8 +138,8 @@ uint64_t CountParts(const G& g, GdScratch& s) {
     // each distinct candidate w in ascending order together with its
     // adjacency to those base vertices (w is adjacent to base[j] iff it
     // surfaced from list j); a galloping cursor over L adds L's bit.
-    const VertexId** heads = s.heads.data();
-    const VertexId** ends = s.ends.data();
+    const VertexId* heads[32];
+    const VertexId* ends[32];
     uint32_t bits[32];
     int lists_merged = 0;
     for (int j = 0; j < nb; ++j) {

@@ -2,15 +2,15 @@
 // subgraphs, enumerated on the fly.
 //
 // This is the walk behind SRW3 and SRW4 — i.e. PSRW (Wang et al.) when
-// d = k-1 — kept as the paper's main comparison method. A neighbour of a
+// d = k-1 — kept as the paper's main comparison method. A neighbor of a
 // state s is every t = (V(s) \ {v_out}) ∪ {v_in} with v_in adjacent to the
 // remainder (the "base") and t connected. Section 5 of the paper draws a
-// uniform neighbour by generating all of them, at O(d^2 |E|/|V|) per step.
+// uniform neighbor by generating all of them, at O(d^2 |E|/|V|) per step.
 // This walk counts them instead and draws one by rank.
 //
-// Count and select: the neighbours are ranked out_idx-major (the index of
+// Count and select: the neighbors are ranked out_idx-major (the index of
 // v_out in the sorted state), then by ascending v_in. For each evicted
-// vertex the base's longest neighbour list L is never merged. The other
+// vertex the base's longest neighbor list L is never merged. The other
 // d-2 lists go through a sorted merge that yields each distinct v_in with
 // its base-adjacency mask; a monotone galloping cursor over L adds L's bit,
 // and an O(d) bitmask BFS over the state's internal adjacency (C(d,2) edge
@@ -48,10 +48,12 @@
 
 namespace grw {
 
-/// The counted G(d) neighbourhood of one state: what CountGdNeighbors
+/// The counted G(d) neighborhood of one state: what CountGdNeighbors
 /// records so that SelectGdNeighbor and GdNeighborRank need no further
-/// access calls. One instance per walker/chain/lane; reuse keeps the hot
-/// path allocation-free once `entries` reaches its high-water capacity.
+/// access calls. The `large` spans point into the access object's
+/// neighbor lists, so a record is valid while that object lives. One
+/// instance per walker/chain/lane; reuse keeps the hot path
+/// allocation-free once `entries` reaches its high-water capacity.
 struct GdScratch {
   /// One merged (non-largest-list) candidate v_in of a part, not in the
   /// state. large_pos is the number of L's ids below w.
@@ -61,7 +63,7 @@ struct GdScratch {
     bool in_large;  // w is also in L
     bool valid;     // base + {w} is connected
   };
-  /// The neighbours that evict state[out_idx], ranks
+  /// The neighbors that evict state[out_idx], ranks
   /// [first_rank, first_rank + count).
   struct Part {
     uint64_t first_rank = 0;
@@ -74,14 +76,11 @@ struct GdScratch {
   };
 
   int d = 0;
-  uint64_t count = 0;  // neighbours of `state`
+  uint64_t count = 0;  // neighbors of `state`
   std::array<VertexId, 32> state = {};       // sorted
   std::array<uint32_t, 32> state_rows = {};  // state internal adjacency
   std::array<Part, 32> parts = {};
   std::vector<Entry> entries;
-  // Cursors for the sorted merge over the non-largest base lists.
-  std::array<const VertexId*, 32> heads = {};
-  std::array<const VertexId*, 32> ends = {};
 };
 
 /// Counts the G(d)-neighbors of `state` (sorted node ids, 1 <= d =

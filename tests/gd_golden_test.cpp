@@ -1,9 +1,9 @@
 // Golden values for the G(d) walk (d >= 3): state trajectories and crawl
 // accounting recorded from the merge-and-write enumerator that drew a
-// uniform neighbour by materialising every neighbour state. The other
+// uniform neighbor by materialising every neighbor state. The other
 // bit-identity suites compare two current kernels with each other (scalar
 // against batched, full against crawl access); these pin both against the
-// recorded behaviour, so a change to how a neighbour is drawn must keep
+// recorded behaviour, so a change to how a neighbor is drawn must keep
 // the same draws, the same states and the same access calls.
 //
 // Integers only: trajectory hashes (FNV-1a over every state's ids and its
