@@ -373,7 +373,6 @@ template <class G>
 uint64_t EnumerateGdNeighbors(const G& g, std::span<const VertexId> state,
                               std::vector<VertexId>* out_neighbors,
                               GdScratch& scratch) {
-  if (out_neighbors == nullptr) return SubgraphStateDegree(g, state, scratch);
   const uint64_t count = CountGdNeighbors(g, state, scratch);
   const int d = scratch.d;
   for (int out_idx = 0; out_idx < d; ++out_idx) {

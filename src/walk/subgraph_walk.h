@@ -1,5 +1,5 @@
 // Random walk on G(d) for d >= 3: states are connected induced d-node
-// subgraphs, enumerated on the fly.
+// subgraphs, whose neighborhoods are counted on the fly.
 //
 // This is the walk behind SRW3 and SRW4 — i.e. PSRW (Wang et al.) when
 // d = k-1 — kept as the paper's main comparison method. A neighbor of a
@@ -114,10 +114,10 @@ void SelectGdNeighbor(const GdScratch& scratch, uint64_t rank,
 uint64_t GdNeighborRank(const GdScratch& scratch,
                         std::span<const VertexId> neighbor);
 
-/// Appends to *out_neighbors (if non-null) every G(d)-neighbor of `state`
-/// in rank order, flattened d sorted ids per neighbor; returns the
-/// neighbor count. CountGdNeighbors followed by a walk of the recorded
-/// parts (tests, benches; the walk itself never materialises).
+/// Appends to *out_neighbors every G(d)-neighbor of `state` in rank
+/// order, flattened d sorted ids per neighbor; returns the neighbor count.
+/// CountGdNeighbors followed by a walk of the recorded parts (tests,
+/// benches; the walk itself never materializes).
 template <class G>
 uint64_t EnumerateGdNeighbors(const G& g, std::span<const VertexId> state,
                               std::vector<VertexId>* out_neighbors,

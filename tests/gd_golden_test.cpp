@@ -1,6 +1,6 @@
 // Golden values for the G(d) walk (d >= 3): state trajectories and crawl
 // accounting recorded from the merge-and-write enumerator that drew a
-// uniform neighbor by materialising every neighbor state. The other
+// uniform neighbor by materializing every neighbor state. The other
 // bit-identity suites compare two current kernels with each other (scalar
 // against batched, full against crawl access); these pin both against the
 // recorded behaviour, so a change to how a neighbor is drawn must keep
