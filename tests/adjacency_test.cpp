@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <tuple>
 #include <vector>
 
 #include "core/estimator.h"
@@ -209,12 +210,17 @@ TEST(AdjacencyDeterminismTest, EstimatesBitIdenticalIndexOnOff) {
   options.min_hub_degree = 8;
   indexed.BuildAdjacencyIndex(options);
 
-  for (const auto& [k, d, css] : std::vector<std::tuple<int, int, bool>>{
-           {4, 2, true}, {4, 3, false}, {5, 2, false}, {5, 4, false}}) {
+  for (const auto& [k, d, css, nb] :
+       std::vector<std::tuple<int, int, bool, bool>>{{4, 2, true, false},
+                                                     {4, 3, false, false},
+                                                     {5, 2, false, false},
+                                                     {5, 3, false, true},
+                                                     {5, 4, false, false}}) {
     EstimatorConfig config;
     config.k = k;
     config.d = d;
     config.css = css;
+    config.nb = nb;
     const uint64_t steps = d >= 4 ? 300 : 5000;
     const EstimateResult off =
         GraphletEstimator::Estimate(plain, config, steps, 1234);

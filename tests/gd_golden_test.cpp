@@ -18,6 +18,7 @@
 
 #include "core/estimator.h"
 #include "engine/engine.h"
+#include "graph/adjacency.h"
 #include "graph/builder.h"
 #include "graph/generators.h"
 #include "util/rng.h"
@@ -59,7 +60,18 @@ uint64_t TrajectoryHash(const Graph& g, int d, bool nb, uint64_t seed,
 }
 
 TEST(GdGoldenTest, SubgraphWalkTrajectories) {
-  const Graph g = HubGraph();
+  const Graph plain = HubGraph();
+  // The same graph with an index whose rows reach down to degree 8, so
+  // the hubs of most states have rows: the trajectories must not depend
+  // on how base-list membership is answered.
+  const Graph indexed = [&plain] {
+    Graph copy = plain;
+    AdjacencyIndexOptions options;
+    options.min_hub_degree = 8;
+    copy.BuildAdjacencyIndex(options);
+    return copy;
+  }();
+  ASSERT_GT(indexed.adjacency_index()->num_hubs(), 0u);
   struct Case {
     int d;
     bool nb;
@@ -74,10 +86,13 @@ TEST(GdGoldenTest, SubgraphWalkTrajectories) {
       {5, false, 1000, 4241196011816202186ull},
       {5, true, 1000, 12175137193344590629ull},
   };
-  for (const Case& c : cases) {
-    SCOPED_TRACE("d=" + std::to_string(c.d) + " nb=" + std::to_string(c.nb));
-    const uint64_t seed = 1000 + 10 * c.d + (c.nb ? 1 : 0);
-    EXPECT_EQ(TrajectoryHash(g, c.d, c.nb, seed, c.steps), c.golden);
+  for (const Graph* g : {&plain, &indexed}) {
+    SCOPED_TRACE(g == &plain ? "no index" : "indexed");
+    for (const Case& c : cases) {
+      SCOPED_TRACE("d=" + std::to_string(c.d) + " nb=" + std::to_string(c.nb));
+      const uint64_t seed = 1000 + 10 * c.d + (c.nb ? 1 : 0);
+      EXPECT_EQ(TrajectoryHash(*g, c.d, c.nb, seed, c.steps), c.golden);
+    }
   }
 }
 
