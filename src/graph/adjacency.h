@@ -1,8 +1,10 @@
 // Adjacency acceleration index: near-free edge-existence queries.
 //
 // Every random-walk step is dominated by HasEdge probes — the sliding
-// sample window issues k-1 per step (paper Section 5) and the G(d) walk's
-// neighbor enumeration issues O(d^2 |E|/|V|) of them. A plain CSR answers
+// sample window issues k-1 per step (paper Section 5) and the G(d) walk
+// issues C(d,2) per state, for the state's internal edges; the G(d) walk
+// also reads the hub rows directly (HubRow) to test membership in a hub's
+// neighbor list. A plain CSR answers
 // each probe with a binary search over the smaller endpoint's neighbor
 // list; this index layers three structures on top of the (unmodified) CSR
 // so most probes never touch the list at all:
@@ -213,6 +215,16 @@ class AdjacencyIndex {
 
   /// True iff v has a dense bitset row.
   bool IsHub(VertexId v) const { return meta_[v].hub_slot != kNoHub; }
+
+  /// v's dense bitset row — bit w (word w >> 6, bit w & 63) is set iff
+  /// v~w, one bit per node — or nullptr when v has no row. The G(d) walk
+  /// answers membership in a hub's list with it (walk/subgraph_walk.h).
+  const uint64_t* HubRow(VertexId v) const {
+    const uint16_t slot = meta_[v].hub_slot;
+    return slot == kNoHub
+               ? nullptr
+               : bits_.data() + static_cast<size_t>(slot) * row_words_;
+  }
 
   /// The effective hub degree threshold (after budget fitting);
   /// 0 when the graph has no hubs.

@@ -3,30 +3,38 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <type_traits>
 
 #include "graph/access.h"
+#include "graph/adjacency.h"
 #include "graph/sharded_access.h"
 
 namespace grw {
 
 namespace {
 
-// Connectivity over an n-node (n <= 32) adjacency given as per-node
-// neighbor bitmasks: bitset BFS from node 0, no edge queries.
-bool MaskRowsConnected(const uint32_t* rows, int n) {
-  const uint32_t all = n >= 32 ? ~0u : (1u << n) - 1u;
-  uint32_t visited = 1u;
-  uint32_t frontier = 1u;
-  while (frontier != 0 && visited != all) {
-    uint32_t reach = 0;
+// Connected components of an n-node (n <= 32) graph given as per-node
+// neighbor bitmasks: one bitset BFS per component, no edge queries.
+// Writes each component's node mask to comps[] and returns their number.
+int MaskRowsComponents(const uint32_t* rows, int n, uint32_t* comps) {
+  uint32_t unseen = n >= 32 ? ~0u : (1u << n) - 1u;
+  int count = 0;
+  while (unseen != 0) {
+    uint32_t visited = unseen & (~unseen + 1u);  // lowest unseen node
+    uint32_t frontier = visited;
     while (frontier != 0) {
-      reach |= rows[std::countr_zero(frontier)];
-      frontier &= frontier - 1;
+      uint32_t reach = 0;
+      while (frontier != 0) {
+        reach |= rows[std::countr_zero(frontier)];
+        frontier &= frontier - 1;
+      }
+      frontier = reach & ~visited;
+      visited |= frontier;
     }
-    frontier = reach & ~visited;
-    visited |= frontier;
+    comps[count++] = visited;
+    unseen &= ~visited;
   }
-  return visited == all;
+  return count;
 }
 
 }  // namespace
@@ -45,7 +53,8 @@ bool InducedSubgraphConnected(const G& g, std::span<const VertexId> nodes) {
       }
     }
   }
-  return MaskRowsConnected(rows, n);
+  uint32_t comps[32];
+  return MaskRowsComponents(rows, n, comps) == 1;
 }
 
 namespace {
@@ -66,6 +75,24 @@ size_t GallopLowerBound(const VertexId* a, size_t n, size_t from,
   return static_cast<size_t>(
       std::lower_bound(a + lo, a + std::min(hi, n), w) - a);
 }
+
+// Membership in the base's largest list L by one bit test in its owner's
+// dense hub row (full access with an index only).
+struct RowMembership {
+  const uint64_t* row;
+  bool operator()(VertexId w) const { return (row[w >> 6] >> (w & 63)) & 1u; }
+};
+
+// Membership in L by a monotone galloping cursor over L's span: the
+// queries must ascend. Searches only the list already fetched.
+struct CursorMembership {
+  std::span<const VertexId> list;
+  size_t cursor = 0;
+  bool operator()(VertexId w) {
+    cursor = GallopLowerBound(list.data(), list.size(), cursor, w);
+    return cursor < list.size() && list[cursor] == w;
+  }
+};
 
 // Copies the sorted state into the scratch and resets its count.
 void LoadState(std::span<const VertexId> state, GdScratch& s) {
@@ -93,20 +120,20 @@ void ProbeStateRows(const G& g, GdScratch& s) {
 }
 
 // Counts every part of the loaded state (rows filled); with kRecord, also
-// records the merged entries that selection walks.
+// records the ids that selection reads.
 template <bool kRecord, class G>
 uint64_t CountParts(const G& g, GdScratch& s) {
   const int d = s.d;
   const uint32_t* srows = s.state_rows.data();
-  if constexpr (kRecord) s.entries.clear();
+  if constexpr (kRecord) s.ids.clear();
   uint64_t total = 0;
 
   for (int out_idx = 0; out_idx < d; ++out_idx) {
     GdScratch::Part& part = s.parts[out_idx];
     part = GdScratch::Part{};
     part.first_rank = total;
-    part.entries_begin = static_cast<uint32_t>(s.entries.size());
-    part.entries_end = part.entries_begin;
+    part.ids_begin = static_cast<uint32_t>(s.ids.size());
+    part.ids_end = part.ids_begin;
     if (d == 1) continue;  // empty base: no neighbors
 
     // base = state minus the out_idx-th node, kept sorted; its internal
@@ -132,117 +159,108 @@ uint64_t CountParts(const G& g, GdScratch& s) {
       if (lists[j].size() > lists[large].size()) large = j;
     }
     const std::span<const VertexId> big = lists[large];
+    // base + {w} is connected iff w is adjacent to every component of the
+    // base, so with a connected base every candidate is valid.
+    uint32_t comps[32];
+    const int num_comps = MaskRowsComponents(brows, nb, comps);
+    const bool connected = num_comps == 1;
 
     // Candidate incoming nodes are exactly the neighbors of the base
     // outside the state. A sorted merge of the non-largest lists yields
     // each distinct candidate w in ascending order together with its
     // adjacency to those base vertices (w is adjacent to base[j] iff it
-    // surfaced from list j); a galloping cursor over L adds L's bit.
-    const VertexId* heads[32];
-    const VertexId* ends[32];
-    uint32_t bits[32];
-    int lists_merged = 0;
-    for (int j = 0; j < nb; ++j) {
-      if (j == large) continue;
-      heads[lists_merged] = lists[j].data();
-      ends[lists_merged] = lists[j].data() + lists[j].size();
-      bits[lists_merged] = 1u << j;
-      ++lists_merged;
-    }
-    size_t cursor = 0;     // into L
-    int state_pos = 0;     // into the (sorted) state, for skipping
-    uint64_t valid = 0;
-    uint64_t merged_in_large = 0;
-    while (true) {
-      VertexId w = ~static_cast<VertexId>(0);
-      uint32_t wmask = 0;
-      for (int t = 0; t < lists_merged; ++t) {
-        if (heads[t] == ends[t]) continue;
-        const VertexId head = *heads[t];
-        if (head < w) {
-          w = head;
-          wmask = bits[t];
-        } else if (head == w) {
-          wmask |= bits[t];
-        }
-      }
-      if (wmask == 0) break;  // all lists exhausted
-      for (int t = 0; t < lists_merged; ++t) {
-        heads[t] += (wmask & bits[t]) != 0 ? 1 : 0;
-      }
-      while (state_pos < d && s.state[state_pos] < w) ++state_pos;
-      if (state_pos < d && s.state[state_pos] == w) continue;
-
-      cursor = GallopLowerBound(big.data(), big.size(), cursor, w);
-      const bool in_large = cursor < big.size() && big[cursor] == w;
-      wmask |= static_cast<uint32_t>(in_large) << large;
-      uint32_t rows[32];
+    // surfaced from list j); in_large(w) adds L's bit. Returns how many
+    // candidates are kept: with a connected base those not in L (the
+    // L-only and L-shared ones are counted in closed form below),
+    // otherwise the valid ones.
+    const auto merge = [&](auto in_large) {
+      const VertexId* heads[32];
+      const VertexId* ends[32];
+      uint32_t bits[32];
+      int lists_merged = 0;
       for (int j = 0; j < nb; ++j) {
-        rows[j] = brows[j] | (((wmask >> j) & 1u) << nb);
+        if (j == large) continue;
+        heads[lists_merged] = lists[j].data();
+        ends[lists_merged] = lists[j].data() + lists[j].size();
+        bits[lists_merged] = 1u << j;
+        ++lists_merged;
       }
-      rows[nb] = wmask;
-      const bool ok = MaskRowsConnected(rows, d);
-      valid += ok ? 1 : 0;
-      merged_in_large += in_large ? 1 : 0;
-      if constexpr (kRecord) {
-        s.entries.push_back({w, static_cast<uint32_t>(cursor), in_large, ok});
+      int state_pos = 0;  // into the (sorted) state, for skipping
+      uint64_t kept = 0;
+      while (true) {
+        VertexId w = ~static_cast<VertexId>(0);
+        uint32_t wmask = 0;
+        for (int t = 0; t < lists_merged; ++t) {
+          if (heads[t] == ends[t]) continue;
+          const VertexId head = *heads[t];
+          if (head < w) {
+            w = head;
+            wmask = bits[t];
+          } else if (head == w) {
+            wmask |= bits[t];
+          }
+        }
+        if (wmask == 0) break;  // all lists exhausted
+        for (int t = 0; t < lists_merged; ++t) {
+          heads[t] += (wmask & bits[t]) != 0 ? 1 : 0;
+        }
+        while (state_pos < d && s.state[state_pos] < w) ++state_pos;
+        if (state_pos < d && s.state[state_pos] == w) continue;
+
+        bool keep;
+        if (connected) {
+          keep = !in_large(w);
+        } else {
+          wmask |= static_cast<uint32_t>(in_large(w)) << large;
+          keep = true;
+          for (int c = 0; c < num_comps; ++c) {
+            keep = keep && (wmask & comps[c]) != 0;
+          }
+        }
+        if (!keep) continue;
+        ++kept;
+        if constexpr (kRecord) s.ids.push_back(w);
       }
+      return kept;
+    };
+    uint64_t kept;
+    if constexpr (std::is_same_v<G, Graph>) {
+      const AdjacencyIndex* index = g.adjacency_index();
+      const uint64_t* row =
+          index != nullptr ? index->HubRow(s.state[owner[large]]) : nullptr;
+      kept = row != nullptr ? merge(RowMembership{row})
+                            : merge(CursorMembership{big});
+    } else {
+      kept = merge(CursorMembership{big});
     }
 
-    // Vertices only in L attach to the base through L's owner alone: all
-    // valid iff the base is connected. Their number: |L| minus the merged
-    // candidates found in L minus the state members in L (the owner's
-    // state row).
-    part.count = valid;
-    part.large = big;
-    part.large_vertex = owner[large];
-    part.base_connected = MaskRowsConnected(brows, nb);
-    if (part.base_connected) {
-      part.count += big.size() - merged_in_large -
+    // With a connected base every vertex of L outside the state is a
+    // neighbor too: the kept ids plus |L| minus the state members in L
+    // (the state row of L's owner).
+    part.count = kept;
+    if (connected) {
+      part.count += big.size() -
                     static_cast<uint64_t>(std::popcount(srows[owner[large]]));
     }
-    part.entries_end = static_cast<uint32_t>(s.entries.size());
+    part.large = big;
+    part.large_vertex = owner[large];
+    part.base_connected = connected;
+    part.ids_end = static_cast<uint32_t>(s.ids.size());
     total += part.count;
   }
   return total;
 }
 
-// Walks one recorded part in rank order. on_run(lo, hi, states) gets each
-// stretch [lo, hi) of L's positions that holds only L-only candidates and
-// the positions `states` (ascending) of state members; on_entry(w) gets
-// each valid merged candidate. Runs come only when the base is connected.
-// Either callback returns true to stop the walk.
-template <class OnRun, class OnEntry>
-void WalkPart(const GdScratch& s, const GdScratch::Part& part,
-              OnRun&& on_run, OnEntry&& on_entry) {
-  const VertexId* big = part.large.data();
-  const size_t n = part.large.size();
-  // Positions of the state members in L: d log Δ.
-  std::array<uint32_t, 32> state_pos;
-  int states = 0;
-  if (part.base_connected) {
-    for (uint32_t m = s.state_rows[part.large_vertex]; m != 0; m &= m - 1) {
-      const VertexId v = s.state[std::countr_zero(m)];
-      state_pos[states++] =
-          static_cast<uint32_t>(std::lower_bound(big, big + n, v) - big);
-    }
+// The j-th id of L that is not a state member; `members` (bit i = state[i]
+// is in L) lists them in ascending id order, since the state is sorted.
+VertexId NonMemberAt(const GdScratch& s, std::span<const VertexId> large,
+                     uint32_t members, size_t j) {
+  size_t p = j;
+  for (; members != 0; members &= members - 1) {
+    if (s.state[std::countr_zero(members)] > large[p]) break;
+    ++p;
   }
-  int si = 0;
-  size_t lo = 0;
-  const auto run = [&](size_t hi) {
-    const int first = si;
-    while (si < states && state_pos[si] < hi) ++si;
-    return on_run(lo, hi,
-                  std::span<const uint32_t>(state_pos.data() + first,
-                                            static_cast<size_t>(si - first)));
-  };
-  for (uint32_t e = part.entries_begin; e < part.entries_end; ++e) {
-    const GdScratch::Entry& entry = s.entries[e];
-    if (part.base_connected && run(entry.large_pos)) return;
-    lo = entry.large_pos + (entry.in_large ? 1 : 0);
-    if (entry.valid && on_entry(entry.w)) return;
-  }
-  if (part.base_connected) run(n);
+  return large[p];
 }
 
 // Writes sorted(state minus state[out_idx], plus w) to out.
@@ -285,34 +303,36 @@ void SelectGdNeighbor(const GdScratch& s, uint64_t rank, VertexId* out) {
     ++out_idx;
   }
   const GdScratch::Part& part = s.parts[out_idx];
-  const VertexId* big = part.large.data();
-  uint64_t r = rank - part.first_rank;
-  VertexId chosen = 0;
-  WalkPart(
-      s, part,
-      [&](size_t lo, size_t hi, std::span<const uint32_t> states) {
-        const uint64_t run = hi - lo - states.size();
-        if (r >= run) {
-          r -= run;
-          return false;
-        }
-        size_t p = lo + r;  // the r-th position of the run, skipping states
-        for (const uint32_t sp : states) {
-          if (sp > p) break;
-          ++p;
-        }
-        chosen = big[p];
-        return true;
-      },
-      [&](VertexId w) {
-        if (r == 0) {
-          chosen = w;
-          return true;
-        }
-        --r;
-        return false;
-      });
-  WriteNeighbor(s, out_idx, chosen, out);
+  const VertexId* ids = s.ids.data() + part.ids_begin;
+  const size_t num_ids = part.ids_end - part.ids_begin;
+  const size_t r = rank - part.first_rank;
+  if (!part.base_connected) {
+    WriteNeighbor(s, out_idx, ids[r], out);
+    return;
+  }
+  // The r-th smallest of two disjoint sorted sets: the recorded ids and
+  // L' = L without its state members. Find i, the number of recorded ids
+  // ranked before it: the largest i with ids[i-1] < L'[r-i] (the
+  // predicate holds for small i and fails for large i).
+  const uint32_t members = s.state_rows[part.large_vertex];
+  const size_t num_large =
+      part.large.size() - static_cast<size_t>(std::popcount(members));
+  const auto large_at = [&](size_t j) {
+    return NonMemberAt(s, part.large, members, j);
+  };
+  size_t lo = r > num_large ? r - num_large : 0;  // predicate holds here
+  size_t hi = std::min(r, num_ids);
+  while (lo < hi) {
+    const size_t mid = lo + (hi - lo + 1) / 2;
+    if (ids[mid - 1] < large_at(r - mid)) {
+      lo = mid;
+    } else {
+      hi = mid - 1;
+    }
+  }
+  const bool from_ids =
+      lo < num_ids && (r - lo == num_large || ids[lo] < large_at(r - lo));
+  WriteNeighbor(s, out_idx, from_ids ? ids[lo] : large_at(r - lo), out);
 }
 
 uint64_t GdNeighborRank(const GdScratch& s,
@@ -323,6 +343,7 @@ uint64_t GdNeighborRank(const GdScratch& s,
   if (static_cast<int>(neighbor.size()) != d) return s.count;
   int out_idx = -1;
   int in_idx = -1;
+  int below = 0;  // state members with ids below w
   for (int i = 0, j = 0; i < d || j < d;) {
     if (i < d && j < d && s.state[i] == neighbor[j]) {
       ++i;
@@ -333,40 +354,30 @@ uint64_t GdNeighborRank(const GdScratch& s,
     } else {
       if (in_idx >= 0) return s.count;
       in_idx = j++;
+      below = i;
     }
   }
   if (out_idx < 0 || in_idx < 0) return s.count;
   const VertexId w = neighbor[in_idx];
   const GdScratch::Part& part = s.parts[out_idx];
+  const VertexId* ids = s.ids.data() + part.ids_begin;
+  const VertexId* ids_end = s.ids.data() + part.ids_end;
+  const VertexId* id = std::lower_bound(ids, ids_end, w);
+  const bool in_ids = id != ids_end && *id == w;
+  uint64_t rank = part.first_rank + static_cast<uint64_t>(id - ids);
+  if (!part.base_connected) return in_ids ? rank : s.count;
+
+  // Connected base: add L's ids below w, less the state members among
+  // them (the members of L with a state index below `below`).
   const VertexId* big = part.large.data();
   const size_t n = part.large.size();
-  size_t w_pos = static_cast<size_t>(std::lower_bound(big, big + n, w) - big);
-  if (w_pos == n || big[w_pos] != w) w_pos = n;  // not in L
-
-  uint64_t rank = part.first_rank;
-  bool found = false;
-  WalkPart(
-      s, part,
-      [&](size_t lo, size_t hi, std::span<const uint32_t> states) {
-        if (w_pos >= lo && w_pos < hi) {
-          // w is L-only here: count the run's positions below it.
-          rank += w_pos - lo;
-          for (const uint32_t sp : states) rank -= sp < w_pos ? 1 : 0;
-          found = true;
-          return true;
-        }
-        rank += hi - lo - states.size();
-        return false;
-      },
-      [&](VertexId v) {
-        if (v == w) {
-          found = true;
-          return true;
-        }
-        ++rank;
-        return false;
-      });
-  return found ? rank : s.count;
+  const size_t pos =
+      static_cast<size_t>(std::lower_bound(big, big + n, w) - big);
+  if (!in_ids && (pos == n || big[pos] != w)) return s.count;
+  const uint64_t below_mask = (uint64_t{1} << below) - 1u;
+  rank += pos - static_cast<uint64_t>(std::popcount(
+                    s.state_rows[part.large_vertex] & below_mask));
+  return rank;
 }
 
 template <class G>
@@ -374,30 +385,11 @@ uint64_t EnumerateGdNeighbors(const G& g, std::span<const VertexId> state,
                               std::vector<VertexId>* out_neighbors,
                               GdScratch& scratch) {
   const uint64_t count = CountGdNeighbors(g, state, scratch);
-  const int d = scratch.d;
-  for (int out_idx = 0; out_idx < d; ++out_idx) {
-    const GdScratch::Part& part = scratch.parts[out_idx];
-    const VertexId* big = part.large.data();
-    const auto emit = [&](VertexId w) {
-      const size_t at = out_neighbors->size();
-      out_neighbors->resize(at + d);
-      WriteNeighbor(scratch, out_idx, w, out_neighbors->data() + at);
-      return false;
-    };
-    WalkPart(
-        scratch, part,
-        [&](size_t lo, size_t hi, std::span<const uint32_t> states) {
-          size_t next_state = 0;
-          for (size_t p = lo; p < hi; ++p) {
-            if (next_state < states.size() && states[next_state] == p) {
-              ++next_state;
-            } else {
-              emit(big[p]);
-            }
-          }
-          return false;
-        },
-        emit);
+  const size_t d = static_cast<size_t>(scratch.d);
+  const size_t at = out_neighbors->size();
+  out_neighbors->resize(at + count * d);
+  for (uint64_t rank = 0; rank < count; ++rank) {
+    SelectGdNeighbor(scratch, rank, out_neighbors->data() + at + rank * d);
   }
   return count;
 }
@@ -465,7 +457,7 @@ uint64_t SubgraphStateDegree(const G& g, std::span<const VertexId> state,
   LoadState(state, scratch);
   ProbeStateRows(g, scratch);
   // Not recorded: the scratch cannot serve SelectGdNeighbor afterwards.
-  scratch.entries.clear();
+  scratch.ids.clear();
   return scratch.count = CountParts<false>(g, scratch);
 }
 

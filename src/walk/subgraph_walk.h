@@ -53,26 +53,20 @@ namespace grw {
 /// access calls. The `large` spans point into the access object's
 /// neighbor lists, so a record is valid while that object lives. One
 /// instance per walker/chain/lane; reuse keeps the hot path
-/// allocation-free once `entries` reaches its high-water capacity.
+/// allocation-free once `ids` reaches its high-water capacity.
 struct GdScratch {
-  /// One merged (non-largest-list) candidate v_in of a part, not in the
-  /// state. large_pos is the number of L's ids below w.
-  struct Entry {
-    VertexId w;
-    uint32_t large_pos;
-    bool in_large;  // w is also in L
-    bool valid;     // base + {w} is connected
-  };
   /// The neighbors that evict state[out_idx], ranks
-  /// [first_rank, first_rank + count).
+  /// [first_rank, first_rank + count). With a connected base they are the
+  /// recorded ids and the ids of L outside the state, merged in ascending
+  /// order; otherwise they are the recorded ids alone.
   struct Part {
     uint64_t first_rank = 0;
     uint64_t count = 0;
     std::span<const VertexId> large;  // L: the longest base list
     int large_vertex = 0;   // state index of L's owner
     bool base_connected = false;
-    uint32_t entries_begin = 0;  // this part's slice of `entries`
-    uint32_t entries_end = 0;
+    uint32_t ids_begin = 0;  // this part's slice of `ids`
+    uint32_t ids_end = 0;
   };
 
   int d = 0;
@@ -80,7 +74,10 @@ struct GdScratch {
   std::array<VertexId, 32> state = {};       // sorted
   std::array<uint32_t, 32> state_rows = {};  // state internal adjacency
   std::array<Part, 32> parts = {};
-  std::vector<Entry> entries;
+  /// Per part, ascending: the merged candidates (not in the state) that
+  /// the closed form does not cover — those not in L when the base is
+  /// connected, the valid ones when it is not.
+  std::vector<VertexId> ids;
 };
 
 /// Counts the G(d)-neighbors of `state` (sorted node ids, 1 <= d =

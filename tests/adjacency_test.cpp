@@ -105,6 +105,31 @@ TEST(AdjacencyIndexTest, MemoryBudgetCapsHubRows) {
   ExpectIndexMatchesReference(unhubbed);
 }
 
+TEST(AdjacencyIndexTest, HubRowBitsMatchBinarySearch) {
+  Rng rng(16);
+  Graph g = BarabasiAlbert(300, 3, rng);
+  AdjacencyIndexOptions options;
+  options.min_hub_degree = 8;  // rows for some vertices, not for others
+  g.BuildAdjacencyIndex(options);
+  const AdjacencyIndex& index = *g.adjacency_index();
+  const VertexId n = g.NumNodes();
+  uint32_t rows = 0;
+  for (VertexId v = 0; v < n; ++v) {
+    const uint64_t* row = index.HubRow(v);
+    ASSERT_EQ(row != nullptr, index.IsHub(v)) << "v=" << v;
+    if (row == nullptr) continue;
+    ++rows;
+    for (VertexId w = 0; w < n; ++w) {
+      ASSERT_EQ(((row[w >> 6] >> (w & 63)) & 1u) != 0,
+                g.HasEdgeBinarySearch(v, w))
+          << "v=" << v << " w=" << w;
+    }
+  }
+  EXPECT_EQ(rows, index.num_hubs());
+  EXPECT_GT(rows, 0u);
+  EXPECT_LT(rows, n);
+}
+
 TEST(AdjacencyIndexTest, BuildIsThreadCountInvariant) {
   Rng rng(14);
   const Graph g = HolmeKim(800, 4, 0.4, rng);

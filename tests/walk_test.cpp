@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "graph/access.h"
+#include "graph/adjacency.h"
 #include "graph/builder.h"
 #include "graph/generators.h"
 #include "graph/sharded_access.h"
@@ -271,13 +272,38 @@ void ExpectSelectMatchesReference(const A& access, const Graph& g,
   EXPECT_EQ(SubgraphStateDegree(access, state, fresh), count);
 }
 
-// Runs check(access) through full access to g, a crawler with a one-entry
-// cache, and a four-shard store held to a one-shard budget.
+// g with an index built by `options` attached to a copy.
+Graph WithIndex(const Graph& g, const AdjacencyIndexOptions& options) {
+  Graph copy = g;
+  copy.BuildAdjacencyIndex(options);
+  return copy;
+}
+
+// Runs check(access) through full access to g, full access with an index
+// that gives every list a hub row and with one that gives none, a crawler
+// with a one-entry cache, and a four-shard store held to a one-shard
+// budget.
 template <class Check>
 void ForEachAccess(const Graph& g, const Check& check) {
   {
     SCOPED_TRACE("Graph");
     check(g);
+  }
+  {
+    SCOPED_TRACE("Graph, a hub row for every list");
+    AdjacencyIndexOptions options;
+    options.min_hub_degree = 1;
+    const Graph indexed = WithIndex(g, options);
+    ASSERT_EQ(indexed.adjacency_index()->num_hubs(), g.NumNodes());
+    check(indexed);
+  }
+  {
+    SCOPED_TRACE("Graph, an index without hub rows");
+    AdjacencyIndexOptions options;
+    options.hub_memory_budget = 0;
+    const Graph indexed = WithIndex(g, options);
+    ASSERT_EQ(indexed.adjacency_index()->num_hubs(), 0u);
+    check(indexed);
   }
   {
     SCOPED_TRACE("CrawlAccess cache 1");
