@@ -13,18 +13,21 @@
 //   edge-present degree-weighted existing edges: worst case for the
 //                signature (always passes), best for hub rows
 //
-// Part 2 — SRW3/SRW4 neighbor-enumeration throughput (steps/s) over one
-// recorded walk trajectory, three implementations:
+// Part 2 — SRW3/SRW4 G(d) step throughput (steps/s) over one recorded
+// walk trajectory and its recorded draws, three implementations:
 //
 //   reference    PR 3 path: per-step vector allocations + adjacency-
-//                probing BFS per candidate, binary-search HasEdge
-//   scratch      this PR's allocation-free incremental enumerator,
-//                binary-search HasEdge
-//   scratch+idx  same, with the AdjacencyIndex attached
+//                probing BFS per candidate, binary-search HasEdge; every
+//                neighbor is written out
+//   scratch      what a walk step runs: CountGdNeighbors, then
+//                SelectGdNeighbor of the recorded draw, binary-search
+//                HasEdge and galloping membership in the largest list
+//   scratch+idx  same, with the AdjacencyIndex attached (hub-row
+//                membership wherever the largest list's owner has a row)
 //
 // Replaying one fixed trajectory keeps the three measurements on identical
-// work; enumeration dominates an SRW step, so steps/s here is the
-// end-to-end walk rate (bench_micro_walks has the full-walk variant).
+// work; counting dominates an SRW step, so steps/s here is the walk rate
+// without the RNG (bench_micro_walks has the full-walk variant).
 //
 // Part 3 — live walk throughput, scalar vs batched kernel
 // (walk/batched_walk.h): real transitions (StateDegree + Step, draws and
@@ -254,7 +257,7 @@ int main(int argc, char** argv) {
   }
   table.Print();
 
-  // ---- Part 2: SRW3/SRW4 enumeration throughput ------------------------
+  // ---- Part 2: SRW3/SRW4 count-and-select throughput -------------------
   grw::Table walk_table("G(d) walk steps/s (trajectory replay, best of " +
                         std::to_string(runs) + ")");
   walk_table.SetHeader({"walk", "steps", "reference", "scratch",
@@ -264,40 +267,51 @@ int main(int argc, char** argv) {
   for (const int d : {3, 4}) {
     const auto steps = flags.GetSize(
         "srw" + std::to_string(d) + "-steps", d == 3 ? 2000 : 200);
-    // Record one trajectory with the real walk (fixed seed), then replay
-    // the enumeration — identical work for all three implementations.
+    // Record one trajectory with the real walk (fixed seed) and the rank
+    // each step drew, then replay the steps — identical work for all
+    // three implementations.
     std::vector<VertexId> trajectory;
+    std::vector<uint64_t> picks;
     trajectory.reserve(steps * d);
+    picks.reserve(steps);
     {
       grw::SubgraphWalk walk(plain, d);
       grw::Rng walk_rng(17 * d);
       walk.Reset(walk_rng);
+      grw::GdScratch counted;
       for (size_t s = 0; s < steps; ++s) {
         const auto nodes = walk.Nodes();
         trajectory.insert(trajectory.end(), nodes.begin(), nodes.end());
+        grw::CountGdNeighbors(plain, nodes, counted);
         walk.Step(walk_rng);
+        picks.push_back(grw::GdNeighborRank(counted, walk.Nodes()));
       }
     }
-    auto replay = [&](auto&& enumerate) {
-      return BestOfSeconds(runs, [&] {
-        std::vector<VertexId> out;
-        for (size_t s = 0; s < steps; ++s) {
-          out.clear();
-          enumerate(
-              std::span<const VertexId>(trajectory.data() + s * d, d), &out);
-        }
-      });
+    const auto state = [&](size_t s) {
+      return std::span<const VertexId>(trajectory.data() + s * d, d);
     };
-    const double ref_s = replay([&](auto state, auto* out) {
-      grw::EnumerateGdNeighborsReference(plain, state, out);
+    const double ref_s = BestOfSeconds(runs, [&] {
+      std::vector<VertexId> out;
+      for (size_t s = 0; s < steps; ++s) {
+        out.clear();
+        grw::EnumerateGdNeighborsReference(plain, state(s), &out);
+      }
     });
     grw::GdScratch scratch;
-    const double scratch_s = replay([&](auto state, auto* out) {
-      grw::EnumerateGdNeighbors(plain, state, out, scratch);
-    });
-    const double indexed_s = replay([&](auto state, auto* out) {
-      grw::EnumerateGdNeighbors(indexed, state, out, scratch);
-    });
+    const auto replay = [&](const Graph& g) {
+      return BestOfSeconds(runs, [&] {
+        std::vector<VertexId> next(d);
+        uint64_t sink = 0;
+        for (size_t s = 0; s < steps; ++s) {
+          sink += grw::CountGdNeighbors(g, state(s), scratch);
+          grw::SelectGdNeighbor(scratch, picks[s], next.data());
+          sink += next[0];
+        }
+        g_sink = g_sink + sink;
+      });
+    };
+    const double scratch_s = replay(plain);
+    const double indexed_s = replay(indexed);
     const double speedup = ref_s / indexed_s;
     if (d == 3) srw3_speedup = speedup;
     if (d == 4) srw4_speedup = speedup;
