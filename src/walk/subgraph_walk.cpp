@@ -125,15 +125,15 @@ template <bool kRecord, class G>
 uint64_t CountParts(const G& g, GdScratch& s) {
   const int d = s.d;
   const uint32_t* srows = s.state_rows.data();
-  if constexpr (kRecord) s.ids.clear();
+  uint32_t used = 0;  // ids recorded so far
   uint64_t total = 0;
 
   for (int out_idx = 0; out_idx < d; ++out_idx) {
     GdScratch::Part& part = s.parts[out_idx];
     part = GdScratch::Part{};
     part.first_rank = total;
-    part.ids_begin = static_cast<uint32_t>(s.ids.size());
-    part.ids_end = part.ids_begin;
+    part.ids_begin = used;
+    part.ids_end = used;
     if (d == 1) continue;  // empty base: no neighbors
 
     // base = state minus the out_idx-th node, kept sorted; its internal
@@ -178,15 +178,44 @@ uint64_t CountParts(const G& g, GdScratch& s) {
       const VertexId* ends[32];
       uint32_t bits[32];
       int lists_merged = 0;
+      size_t bound = 0;  // at most this many candidates
       for (int j = 0; j < nb; ++j) {
         if (j == large) continue;
         heads[lists_merged] = lists[j].data();
         ends[lists_merged] = lists[j].data() + lists[j].size();
         bits[lists_merged] = 1u << j;
+        bound += lists[j].size();
         ++lists_merged;
+      }
+      VertexId* out = nullptr;
+      if constexpr (kRecord) {
+        if (s.ids.size() < used + bound) s.ids.resize(used + bound);
+        out = s.ids.data() + used;
       }
       int state_pos = 0;  // into the (sorted) state, for skipping
       uint64_t kept = 0;
+      const auto visit = [&](VertexId w, uint32_t wmask) {
+        while (state_pos < d && s.state[state_pos] < w) ++state_pos;
+        if (state_pos < d && s.state[state_pos] == w) return;
+        bool keep;
+        if (connected) {
+          keep = !in_large(w);
+        } else {
+          wmask |= static_cast<uint32_t>(in_large(w)) << large;
+          keep = true;
+          for (int c = 0; c < num_comps; ++c) {
+            keep = keep && (wmask & comps[c]) != 0;
+          }
+        }
+        if constexpr (kRecord) out[kept] = w;  // kept only if counted
+        kept += keep ? 1 : 0;
+      };
+      if (lists_merged == 1) {  // d = 3: nothing to merge
+        for (const VertexId* p = heads[0]; p != ends[0]; ++p) {
+          visit(*p, bits[0]);
+        }
+        return kept;
+      }
       while (true) {
         VertexId w = ~static_cast<VertexId>(0);
         uint32_t wmask = 0;
@@ -204,22 +233,7 @@ uint64_t CountParts(const G& g, GdScratch& s) {
         for (int t = 0; t < lists_merged; ++t) {
           heads[t] += (wmask & bits[t]) != 0 ? 1 : 0;
         }
-        while (state_pos < d && s.state[state_pos] < w) ++state_pos;
-        if (state_pos < d && s.state[state_pos] == w) continue;
-
-        bool keep;
-        if (connected) {
-          keep = !in_large(w);
-        } else {
-          wmask |= static_cast<uint32_t>(in_large(w)) << large;
-          keep = true;
-          for (int c = 0; c < num_comps; ++c) {
-            keep = keep && (wmask & comps[c]) != 0;
-          }
-        }
-        if (!keep) continue;
-        ++kept;
-        if constexpr (kRecord) s.ids.push_back(w);
+        visit(w, wmask);
       }
       return kept;
     };
@@ -245,7 +259,8 @@ uint64_t CountParts(const G& g, GdScratch& s) {
     part.large = big;
     part.large_vertex = owner[large];
     part.base_connected = connected;
-    part.ids_end = static_cast<uint32_t>(s.ids.size());
+    if constexpr (kRecord) used += static_cast<uint32_t>(kept);
+    part.ids_end = used;
     total += part.count;
   }
   return total;
@@ -457,7 +472,6 @@ uint64_t SubgraphStateDegree(const G& g, std::span<const VertexId> state,
   LoadState(state, scratch);
   ProbeStateRows(g, scratch);
   // Not recorded: the scratch cannot serve SelectGdNeighbor afterwards.
-  scratch.ids.clear();
   return scratch.count = CountParts<false>(g, scratch);
 }
 

@@ -53,7 +53,7 @@ namespace grw {
 /// access calls. The `large` spans point into the access object's
 /// neighbor lists, so a record is valid while that object lives. One
 /// instance per walker/chain/lane; reuse keeps the hot path
-/// allocation-free once `ids` reaches its high-water capacity.
+/// allocation-free once `ids` reaches its high-water size.
 struct GdScratch {
   /// The neighbors that evict state[out_idx], ranks
   /// [first_rank, first_rank + count). With a connected base they are the
@@ -74,9 +74,10 @@ struct GdScratch {
   std::array<VertexId, 32> state = {};       // sorted
   std::array<uint32_t, 32> state_rows = {};  // state internal adjacency
   std::array<Part, 32> parts = {};
-  /// Per part, ascending: the merged candidates (not in the state) that
-  /// the closed form does not cover — those not in L when the base is
-  /// connected, the valid ones when it is not.
+  /// Per part, ascending, in [ids_begin, ids_end): the merged candidates
+  /// (not in the state) that the closed form does not cover — those not
+  /// in L when the base is connected, the valid ones when it is not.
+  /// Grows to its high-water size and is never shrunk.
   std::vector<VertexId> ids;
 };
 
