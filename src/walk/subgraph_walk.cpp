@@ -345,9 +345,10 @@ void SelectGdNeighbor(const GdScratch& s, uint64_t rank, VertexId* out) {
       hi = mid - 1;
     }
   }
-  const bool from_ids =
-      lo < num_ids && (r - lo == num_large || ids[lo] < large_at(r - lo));
-  WriteNeighbor(s, out_idx, from_ids ? ids[lo] : large_at(r - lo), out);
+  // The answer is ids[lo] or L'[r - lo], whichever is smaller.
+  VertexId chosen = lo < num_ids ? ids[lo] : ~static_cast<VertexId>(0);
+  if (r - lo < num_large) chosen = std::min(chosen, large_at(r - lo));
+  WriteNeighbor(s, out_idx, chosen, out);
 }
 
 uint64_t GdNeighborRank(const GdScratch& s,

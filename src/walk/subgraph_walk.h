@@ -12,27 +12,37 @@
 // v_out in the sorted state), then by ascending v_in. For each evicted
 // vertex the base's longest neighbor list L is never merged. The other
 // d-2 lists go through a sorted merge that yields each distinct v_in with
-// its base-adjacency mask; a monotone galloping cursor over L adds L's bit,
-// and an O(d) bitmask BFS over the state's internal adjacency (C(d,2) edge
-// queries, built once per state) decides connectivity. Those merged ids
-// are recorded. Vertices that appear only in L attach to the base through
-// one vertex, so they are all valid iff the base is connected, and their
-// number is closed-form: |L| minus the merged ids found in L minus the
-// state members in L. Select(rank) walks the recorded ids and resolves a
-// rank that falls among L-only vertices by arithmetic on L's positions;
-// only the chosen state is ever written. A step costs
-// O(d * (sum of the non-largest base degrees) + d log Δ) — the hubs that
-// dominate the merge cost are exactly the lists never merged. The
-// pre-optimization enumerator is kept as EnumerateGdNeighborsReference, the
-// oracle of the equivalence tests and the micro-bench baseline.
+// its base-adjacency mask, and membership of v_in in L adds L's bit: one
+// bit test in the dense hub row of L's owner when the graph is full access
+// with an AdjacencyIndex that gave it a row, otherwise a monotone
+// galloping cursor over L. The base's connected components (from the
+// state's internal adjacency: C(d,2) edge queries, built once per state)
+// are found once per part, and v_in is valid iff its mask meets every
+// component — so with a connected base every candidate is. Vertices that
+// appear only in L attach to the base through one vertex, so they are all
+// valid iff the base is connected. A part therefore records only the ids
+// the closed form does not cover: with a connected base the merged
+// candidates not in L, whose neighbors are those ids plus L without its
+// state members; otherwise the valid merged candidates. Select(rank) takes
+// ids[r] for a disconnected base, and for a connected one the r-th
+// smallest of the two disjoint sorted sets by a binary search over how
+// many come from the ids; Rank inverts it with one lower_bound in L. Only
+// the chosen state is ever written. A step costs
+// O(sum of the non-largest base degrees) per evicted vertex, times a bit
+// test when L has a row and a galloping search otherwise, plus
+// O(log Δ) for the select — the hubs that dominate the merge cost are
+// exactly the lists never merged. The pre-optimization enumerator is kept
+// as EnumerateGdNeighborsReference, the oracle of the equivalence tests
+// and the micro-bench baseline.
 //
 // Everything here is templated on the graph access policy (graph/access.h)
 // with explicit instantiations for Graph, CrawlAccess and ShardedAccess in
 // subgraph_walk.cpp. Each edge query and neighbor-list read goes through
 // the policy — the C(d,2) state probes, then Neighbors() of each base
 // vertex per evicted vertex, in that order — so a crawl simulation charges
-// the enumeration its true API cost. L's membership comes from searching
-// spans already fetched, never from extra queries.
+// the enumeration its true API cost. Crawl and sharded access answer L's
+// membership by searching spans already fetched, never from extra queries
+// or hub rows.
 
 #pragma once
 
@@ -114,8 +124,8 @@ uint64_t GdNeighborRank(const GdScratch& scratch,
 
 /// Appends to *out_neighbors every G(d)-neighbor of `state` in rank
 /// order, flattened d sorted ids per neighbor; returns the neighbor count.
-/// CountGdNeighbors followed by a walk of the recorded parts (tests,
-/// benches; the walk itself never materializes).
+/// CountGdNeighbors followed by SelectGdNeighbor of every rank (tests;
+/// the walk itself never materializes).
 template <class G>
 uint64_t EnumerateGdNeighbors(const G& g, std::span<const VertexId> state,
                               std::vector<VertexId>* out_neighbors,
