@@ -210,12 +210,6 @@ uint64_t CountParts(const G& g, GdScratch& s) {
         if constexpr (kRecord) out[kept] = w;  // kept only if counted
         kept += keep ? 1 : 0;
       };
-      if (lists_merged == 1) {  // d = 3: nothing to merge
-        for (const VertexId* p = heads[0]; p != ends[0]; ++p) {
-          visit(*p, bits[0]);
-        }
-        return kept;
-      }
       while (true) {
         VertexId w = ~static_cast<VertexId>(0);
         uint32_t wmask = 0;

@@ -4,8 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <cstdio>
 #include <filesystem>
 #include <stdexcept>
@@ -23,9 +21,7 @@ class LoaderErrorTest : public ::testing::Test {
   }
 
   void WriteFile(const std::string& content) {
-    // One file per process: ctest -j runs every case as its own process.
-    path_ = (std::filesystem::temp_directory_path() /
-             ("grw_loader_error." + std::to_string(::getpid()) + ".txt"))
+    path_ = (std::filesystem::temp_directory_path() / "grw_loader_error.txt")
                 .string();
     std::FILE* f = std::fopen(path_.c_str(), "wb");
     ASSERT_NE(f, nullptr);
